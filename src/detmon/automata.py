@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .semantics import CapExceeded, StepEngine, binder_map
+from .semantics import CapExceeded, StepEngine, binders_apart
 from .terms import (
     END,
     NO,
@@ -29,13 +29,12 @@ from .terms import (
     Monitor,
     Prefix,
     Rec,
-    Sum,
     Term,
     TermError,
     Var,
     Verdict,
+    fold,
     mk_sum,
-    size,
     verdicts_in,
 )
 
@@ -110,7 +109,8 @@ def as_nfa(a: Automaton) -> Nfa:
 def _monitor_nfa(
     m: Monitor, alphabet: frozenset[str], accept_verdict: str
 ) -> tuple[Nfa, dict[str, Term]]:
-    engine = StepEngine(alphabet, "N", binder_map(m))
+    m, binders = binders_apart(m, alphabet)
+    engine = StepEngine(alphabet, "N", binders)
     target = Verdict(accept_verdict)
     ids: dict[Term, str] = {}
     order: list[Term] = []
@@ -443,10 +443,8 @@ def _paths_monitor(a: Nfa) -> Monitor:
 
     used_names: set[str] = set()
     path_var: dict[tuple[str, ...], str] = {}
-    counter = 0
 
     def var_of(path: tuple[str, ...]) -> str:
-        nonlocal counter
         if path not in path_var:
             cand = "x_" + "_".join(_sanitize(q) for q in path)
             while cand in used_names:
@@ -455,37 +453,36 @@ def _paths_monitor(a: Nfa) -> Monitor:
             path_var[path] = cand
         return path_var[path]
 
-    calls = 0
-    built: dict[tuple[str, ...], Monitor] = {}
+    def targets(path: tuple[str, ...]) -> list[str]:
+        # One extension per target, so parallel edges to it share a single
+        # Rec node (its variable stays singly bound).
+        return sorted({t for _, t in succ.get(path[-1], ()) if t != goal and t not in path})
 
-    def build(path: tuple[str, ...]) -> Monitor:
+    calls = 0
+
+    def extensions(path: tuple[str, ...]) -> list[tuple[str, ...]]:
         nonlocal calls
-        # Memoized so parallel edges to one target share a single Rec
-        # node (its variable stays singly bound).
-        if path in built:
-            return built[path]
         calls += 1
         if calls > _MAX_PATHS:
             raise CapExceeded("path unfolding grew past the internal limit")
-        cur = path[-1]
+        return [path + (t,) for t in targets(path)]
+
+    def build(path: tuple[str, ...], kids) -> Monitor:
+        built = dict(zip(targets(path), kids))
         summands: list[Monitor] = []
-        for sym, t in succ.get(cur, ()):
+        for sym, t in succ.get(path[-1], ()):
             if t == goal:
                 summands.append(Prefix(sym, Verdict(YES)))
             elif t in path:
                 back = path[: path.index(t) + 1]
                 summands.append(Prefix(sym, Var(var_of(back))))
             else:
-                summands.append(Prefix(sym, build(path + (t,))))
-        out: Monitor
+                summands.append(Prefix(sym, built[t]))
         if not summands:
-            out = Verdict(END)
-        else:
-            out = Rec(var_of(path), mk_sum(summands))
-        built[path] = out
-        return out
+            return Verdict(END)
+        return Rec(var_of(path), mk_sum(summands))
 
-    return build((a.initial,))
+    return fold((a.initial,), build, children=extensions)
 
 
 def _merge_accepting(a: Nfa) -> Nfa:

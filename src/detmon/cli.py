@@ -141,6 +141,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     m, alphabet = parse_monitor_file(_read(args.monitor))
     word = tuple(a for a in args.trace.split(".") if a)
+    bad = set(word) - alphabet
+    if bad:
+        raise TermError(f"actions not in the declared alphabet: {sorted(bad)}")
     flags = semantics.verdicts_on(m, word, alphabet)
     print(", ".join(sorted(flags)) if flags else "(none)")
     return EXIT_OK

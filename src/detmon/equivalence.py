@@ -19,19 +19,7 @@ from typing import Iterable, Sequence
 
 from .automata import _monitor_nfa, distinguishing_word, language_equiv
 from .semantics import StepEngine, binder_map, verdicts_on
-from .terms import (
-    END,
-    NO,
-    YES,
-    Monitor,
-    Nil,
-    Prefix,
-    Rec,
-    Sum,
-    Term,
-    Var,
-    Verdict,
-)
+from .terms import END, NO, SKIP, YES, Monitor, Prefix, Term, Verdict, fold
 
 
 @dataclass(frozen=True)
@@ -118,21 +106,15 @@ def simple_traces(m: Monitor, max_len: int) -> frozenset[tuple[str, ...]]:
     most size(m) traces, none longer than height(m)."""
     out: set[tuple[str, ...]] = {()}
 
-    def go(t: Term, trace: tuple[str, ...]) -> None:
-        if isinstance(t, (Verdict, Var, Nil)):
-            return
-        if isinstance(t, Rec):
-            go(t.body, trace)
-        elif isinstance(t, Prefix):
-            if len(trace) < max_len:
-                nxt = trace + (t.action,)
-                out.add(nxt)
-                go(t.body, nxt)
-        elif isinstance(t, Sum):
-            for s in t.summands:
-                go(s, trace)
+    def enter(t: Term, trace: tuple[str, ...]):
+        if isinstance(t, Prefix):
+            if len(trace) >= max_len:
+                return SKIP
+            trace = trace + (t.action,)
+            out.add(trace)
+        return trace
 
-    go(m, ())
+    fold(m, lambda t, kids, trace: None, enter, ())
     return frozenset(out)
 
 

@@ -9,7 +9,7 @@ Two parametric languages over {0, 1, e}:
   exactly 2^n + 2 states, so deterministic monitors grow exponentially.
 
 * U_n — words with an ``e`` before which the count of some symbol is a
-  positive multiple of one part of the maximal-lcm partition of n.  Its
+  positive multiple of one part > 1 of the maximal-lcm partition of n.  Its
   compact monitor has size linear in n, yet the shortest verdict-equal
   deterministic monitor is driven by lcm(partition), which grows like
   e^sqrt(n ln n) — a second, size-based lower bound.
@@ -87,15 +87,14 @@ def mn_monitor(n: int) -> Monitor:
     if n < 1:
         raise TermError("n must be positive")
 
-    def tail(level: int) -> Monitor:
-        if level == n - 1:
-            return Prefix("e", Verdict(YES))
-        nxt = tail(level + 1)
-        return mk_sum([Prefix("0", nxt), Prefix("1", nxt)])
+    # Built from the last level up; both branches share the level below.
+    tail: Monitor = Prefix("e", Verdict(YES))
+    for _ in range(n - 1):
+        tail = mk_sum([Prefix("0", tail), Prefix("1", tail)])
 
     return Rec(
         "x",
-        mk_sum([Prefix("0", Var("x")), Prefix("1", Var("x")), Prefix("1", tail(0))]),
+        mk_sum([Prefix("0", Var("x")), Prefix("1", Var("x")), Prefix("1", tail)]),
     )
 
 
@@ -146,25 +145,32 @@ def landau_lcm(n: int) -> int:
     return math.lcm(*landau_partition(n)) if n else 1
 
 
+def _counting_parts(n: int) -> list[int]:
+    """The distinct parts > 1 of the maximal-lcm partition of n.  The 1s
+    that pad it are left out: every positive count is a multiple of 1,
+    so a part 1 would hide all the others."""
+    return sorted({m for m in landau_partition(n) if m > 1})
+
+
 def chrobak_predicate(n: int, symbol: str, word: Sequence[str]) -> bool:
-    """Is the word symbol^k with k a positive multiple of some part of
-    the maximal-lcm partition of n?"""
+    """Is the word symbol^k with k a positive multiple of some part > 1
+    of the maximal-lcm partition of n?"""
     word = tuple(word)
     if not word or any(c != symbol for c in word):
         return False
     k = len(word)
-    return any(k % m == 0 for m in set(landau_partition(n)))
+    return any(k % m == 0 for m in _counting_parts(n))
 
 
 def un_monitor(n: int) -> Monitor:
     """The linear-size monitor for U_n: for each symbol and each distinct
-    part m, a counting cycle of length m that ignores the other symbol
+    part m > 1, a counting cycle of length m that ignores the other symbol
     and offers ``e.yes`` exactly at positive multiples of m.  Size stays
     under 20n while any verdict-equal deterministic monitor must be as
     large as lcm(partition)."""
     if n < 2:
         raise TermError("n must be at least 2")
-    parts = sorted(set(landau_partition(n)))
+    parts = _counting_parts(n)
     summands: list[Monitor] = []
     for symbol, other in (("0", "1"), ("1", "0")):
         for m in parts:
@@ -193,7 +199,7 @@ def un_predicate(n: int, word: Sequence[str]) -> bool:
     if "e" not in word:
         return False
     prefix = word[: word.index("e")]
-    parts = set(landau_partition(n))
+    parts = _counting_parts(n)
     for symbol in ("0", "1"):
         count = sum(1 for c in prefix if c == symbol)
         if count > 0 and any(count % m == 0 for m in parts):

@@ -27,11 +27,12 @@ from .terms import (
     Max,
     Min,
     Or,
+    SKIP,
     TT,
     TermError,
     Var,
-    binder_names,
     dualize,
+    fold,
     free_vars,
     is_chml,
     is_shml,
@@ -197,22 +198,21 @@ def _top_ok(g: Formula) -> bool:
     """No variable occurs unguarded below anything but conjunction or
     disjunction nodes."""
 
-    def walk(t: Formula, top: bool) -> bool:
+    def enter(t: Formula, top: bool):
+        if isinstance(t, (Box, Diamond)):
+            return SKIP  # guarded below here
+        return False if isinstance(t, (Max, Min)) else top
+
+    def step(t: Formula, kids, top) -> bool:
         if isinstance(t, Var):
             return top
-        if isinstance(t, (TT, FF)):
+        if top is SKIP or isinstance(t, (TT, FF)):
             return True
-        if isinstance(t, (Box, Diamond)):
-            return True  # guarded below here
-        if isinstance(t, And):
-            return all(walk(c, top) for c in t.conjuncts)
-        if isinstance(t, Or):
-            return all(walk(d, top) for d in t.disjuncts)
-        if isinstance(t, (Max, Min)):
-            return walk(t.body, False)
+        if isinstance(t, (And, Or, Max, Min)):
+            return all(kids)
         raise TermError(f"not a formula: {t!r}")
 
-    return walk(g, True)
+    return fold(g, step, enter, True)
 
 
 def is_standard_form(f: Formula) -> bool:
@@ -222,26 +222,30 @@ def is_standard_form(f: Formula) -> bool:
     return all(_top_ok(r) for r in roots)
 
 
-def _hoist(f: Formula) -> tuple[Formula, tuple[str, ...]]:
-    """Split f into (psi, tops) with f equivalent to psi AND tops, where
-    psi has no unguarded variables.  Rewrites recursively so the
-    invariant holds inside boxes and fixpoint bodies too."""
+def _conjoin(psi: Formula, tops: tuple[str, ...]) -> Formula:
+    return mk_and([psi, *(Var(x) for x in tops)])
+
+
+def _hoist(f: Formula, kids) -> tuple[Formula, tuple[str, ...]]:
+    """Split f into (psi, tops), given its children's splits, with f
+    equivalent to psi AND tops, where psi has no unguarded variables.
+    Folded bottom-up, so the invariant holds inside boxes and fixpoint
+    bodies too."""
     if isinstance(f, (TT, FF)):
         return f, ()
     if isinstance(f, Var):
         return TT(), (f.name,)
     if isinstance(f, Box):
-        return Box(f.action, _standardize_shml(f.body)), ()
+        return Box(f.action, _conjoin(*kids[0])), ()
     if isinstance(f, And):
         psis: list[Formula] = []
         tops: list[str] = []
-        for c in f.conjuncts:
-            psi, t = _hoist(c)
+        for psi, t in kids:
             psis.append(psi)
             tops.extend(x for x in t if x not in tops)
         return mk_and(psis), tuple(tops)
     if isinstance(f, Max):
-        psi, tops = _hoist(f.body)
+        psi, tops = kids[0]
         outs = tuple(x for x in tops if x != f.var)
         if not outs:
             # Nothing to pull out of the binder; f.var as a top-level
@@ -255,8 +259,7 @@ def _hoist(f: Formula) -> tuple[Formula, tuple[str, ...]]:
 
 
 def _standardize_shml(f: Formula) -> Formula:
-    psi, tops = _hoist(f)
-    return mk_and([psi, *(Var(x) for x in tops)])
+    return _conjoin(*fold(f, _hoist))
 
 
 def to_standard_form(f: Formula) -> Formula:
@@ -377,24 +380,21 @@ def formula_to_system(f: Formula) -> EquationSystem:
             )
             eqs[i] = (n, new)
 
-    def build(g: Formula) -> str:
+    def build(g: Formula, kids) -> str:
         if isinstance(g, (TT, FF, Var)):
             return fresh_add(g)
         if isinstance(g, Box):
-            sub = build(g.body)
-            return fresh_add(Box(g.action, Var(sub)))
+            return fresh_add(Box(g.action, Var(kids[0])))
         if isinstance(g, And):
-            principals = [build(c) for c in g.conjuncts]
-            return fresh_add(mk_and(rhs_of(p) for p in principals))
+            return fresh_add(mk_and(rhs_of(p) for p in kids))
         if isinstance(g, Max):
-            sub = build(g.body)
-            f1 = rhs_of(sub)
+            f1 = rhs_of(kids[0])
             add(g.var, f1)
             merge_unguarded(g.var, f1)
             return g.var
         raise FragmentError(f"not a standard safety formula: {g!r}")
 
-    principal = build(f)
+    principal = fold(f, build)
 
     # Prune equations unreachable from the principal.
     def references(rhs: Formula) -> list[str]:

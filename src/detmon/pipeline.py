@@ -28,6 +28,7 @@ from .automata import (
 )
 from .families import ALPHABET_01E, mn_monitor, un_monitor
 from .logic import determinize_formula
+from .semantics import CapExceeded
 from .synthesis import monitor_to_formula, msf
 from .terms import (
     END,
@@ -130,8 +131,9 @@ def bench(
     family: str, min_n: int, max_n: int, timeout: float = 60.0
 ) -> list[dict[str, object]]:
     """Measure the determinization pipeline on a witness family.  Each
-    stage runs under the timeout; a row that times out keeps whatever
-    stages finished and is marked status=timeout."""
+    stage runs under the timeout; a row that times out or hits a size
+    cap keeps whatever stages finished and is marked status=timeout or
+    status=cap."""
     if family not in _FAMILIES:
         raise TermError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
     build = _FAMILIES[family]
@@ -165,6 +167,8 @@ def bench(
             row["det_monitor_size"] = size(det)
         except _StageTimeout:
             row["status"] = "timeout"
+        except CapExceeded:
+            row["status"] = "cap"
         rows.append(row)
     return rows
 

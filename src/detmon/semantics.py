@@ -34,6 +34,7 @@ from .terms import (
     TermError,
     Var,
     Verdict,
+    rename_apart,
     subst,
     subterms,
 )
@@ -45,6 +46,21 @@ DEFAULT_CLOSURE_CAP = 10_000
 
 class CapExceeded(RuntimeError):
     """A state-space safety cap was hit; pass a higher cap or force."""
+
+
+def _reach(start: Iterable, successors, cap: int | None = None) -> list:
+    """Everything reachable from `start` through `successors`, in
+    discovery order; CapExceeded once more than `cap` items are found."""
+    order = list(dict.fromkeys(start))
+    seen = set(order)
+    for x in order:  # the list grows while it is walked
+        for y in successors(x):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                if cap is not None and len(order) > cap:
+                    raise CapExceeded(f"tau closure exceeded {cap} distinct terms")
+    return order
 
 
 class Step(NamedTuple):
@@ -70,9 +86,15 @@ def binder_map(m: Term) -> dict[str, Rec]:
     return out
 
 
-# Tau successors under "O" do not depend on any context, so they are
-# shared across all engines.
-_O_TAU_CACHE: dict[Term, tuple[Term, ...]] = {}
+def binders_apart(m: Term, alphabet: frozenset[str]) -> tuple[Term, dict[str, Rec]]:
+    """The term with its binder map.  When binder_map finds a name bound
+    twice, the binders are first renamed apart by well_form's rename
+    step; the renamed term flags the same verdicts on every trace."""
+    try:
+        return m, binder_map(m)
+    except TermError:
+        m = rename_apart(m, alphabet)
+        return m, binder_map(m)
 
 
 class StepEngine:
@@ -134,28 +156,10 @@ class StepEngine:
     # -- weak closures -----------------------------------------------------
 
     def tau_closure(self, m: Term) -> tuple[Term, ...]:
-        if self.system == "O" and m in _O_TAU_CACHE:
-            return _O_TAU_CACHE[m]
-        if m in self._closure:
-            return self._closure[m]
-        order: list[Term] = [m]
-        seen: set[Term] = {m}
-        i = 0
-        while i < len(order):
-            for st in self.steps(order[i]):
-                if st.label == TAU and st.target not in seen:
-                    seen.add(st.target)
-                    order.append(st.target)
-                    if len(order) > self.cap:
-                        raise CapExceeded(
-                            f"tau closure exceeded {self.cap} distinct terms"
-                        )
-            i += 1
-        result = tuple(order)
-        self._closure[m] = result
-        if self.system == "O":
-            _O_TAU_CACHE[m] = result
-        return result
+        if m not in self._closure:
+            taus = lambda t: [st.target for st in self.steps(t) if st.label == TAU]
+            self._closure[m] = tuple(_reach([m], taus, self.cap))
+        return self._closure[m]
 
     def frontier_step(self, frontier: Iterable[Term], action: str) -> tuple[Term, ...]:
         """All weak `action`-successors of a tau-closed frontier."""
@@ -186,13 +190,6 @@ class StepEngine:
         return frontier
 
 
-def _engine(
-    m: Term, alphabet: frozenset[str], system: str, cap: int
-) -> StepEngine:
-    binders = binder_map(m) if system in ("M", "N") else None
-    return StepEngine(alphabet, system, binders, cap)
-
-
 def steps(
     m: Term,
     alphabet: frozenset[str],
@@ -216,7 +213,8 @@ def derive(
 ) -> tuple[Term, ...]:
     """All terms reachable from `m` through the weak trace relation
     (tau steps freely interleaved, trailing taus included)."""
-    return _engine(m, alphabet, system, cap).derive(m, trace)
+    binders = binder_map(m) if system in ("M", "N") else None
+    return StepEngine(alphabet, system, binders, cap).derive(m, trace)
 
 
 def verdicts_on(
@@ -280,27 +278,11 @@ class Lts:
         return frozenset(label for _, label, _ in self.transitions)
 
     def tau_closure(self, state: str) -> list[str]:
-        order = [state]
-        seen = {state}
-        i = 0
-        while i < len(order):
-            for nxt in self.succ(order[i], TAU):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-            i += 1
-        return order
+        return _reach([state], lambda s: self.succ(s, TAU))
 
     def weak_succ(self, state: str, action: str) -> list[str]:
-        order: list[str] = []
-        seen: set[str] = set()
-        for p in self.tau_closure(state):
-            for q in self.succ(p, action):
-                for r in self.tau_closure(q):
-                    if r not in seen:
-                        seen.add(r)
-                        order.append(r)
-        return order
+        moved = [q for p in self.tau_closure(state) for q in self.succ(p, action)]
+        return _reach(moved, lambda s: self.succ(s, TAU))
 
 
 _TRANSITION_RE = re.compile(r"^(\S+)\s*-(\S+?)->\s*(\S+)$")
@@ -392,21 +374,11 @@ def _reaches_verdict(
     m: Term, lts: Lts, state: str, alphabet: frozenset[str], verdict: str
 ) -> bool:
     engine = StepEngine(alphabet, "O")
-    target = Verdict(verdict)
-    frontier = [(m, state)]
-    seen = {(m, state)}
-    while frontier:
-        nxt: list[tuple[Term, str]] = []
-        for mm, ss in frontier:
-            if mm == target:
-                return True
-            for st in monitored_step(mm, ss, lts, alphabet, engine):
-                cfg = (st.monitor, st.state)
-                if cfg not in seen:
-                    seen.add(cfg)
-                    nxt.append(cfg)
-        frontier = nxt
-    return False
+
+    def moves(cfg: tuple[Term, str]) -> list[tuple[Term, str]]:
+        return [(st.monitor, st.state) for st in monitored_step(*cfg, lts, alphabet, engine)]
+
+    return any(mm == Verdict(verdict) for mm, _ in _reach([(m, state)], moves))
 
 
 def acc(m: Term, lts: Lts, state: str, alphabet: frozenset[str]) -> bool:
@@ -426,51 +398,16 @@ def rej(m: Term, lts: Lts, state: str, alphabet: frozenset[str]) -> bool:
 
 def process_steps(p: Process) -> list[Step]:
     """Strong transitions of a process term: like a monitor but ``nil``
-    is inert and there is no verdict self-loop rule."""
-    if isinstance(p, (Nil, Verdict)):
-        return []
-    if isinstance(p, Prefix):
-        return [Step(p.action, p.body, "Act")]
-    if isinstance(p, Sum):
-        out: list[Step] = []
-        for idx, s in enumerate(p.summands):
-            rule = "SelL" if idx == 0 else "SelR"
-            out.extend(Step(st.label, st.target, rule) for st in process_steps(s))
-        return out
-    if isinstance(p, Rec):
-        return [Step(TAU, subst(p.body, p.var, p), "Rec")]
-    if isinstance(p, Var):
-        return []
-    raise TermError(f"not a process term: {p!r}")
+    is inert and there is no verdict self-loop rule.  These are the
+    monitor rules under "O" over the empty alphabet, named without their
+    leading ``m``."""
+    return [st._replace(rule=st.rule[1:]) for st in StepEngine(frozenset(), "O").steps(p)]
 
 
 def derive_process(
     p: Process, trace: Iterable[str], cap: int = DEFAULT_CLOSURE_CAP
 ) -> tuple[Process, ...]:
-    def closure(terms: Iterable[Process]) -> tuple[Process, ...]:
-        order = list(terms)
-        seen = set(order)
-        i = 0
-        while i < len(order):
-            for st in process_steps(order[i]):
-                if st.label == TAU and st.target not in seen:
-                    seen.add(st.target)
-                    order.append(st.target)
-                    if len(order) > cap:
-                        raise CapExceeded("process closure exceeded the cap")
-            i += 1
-        return tuple(order)
-
-    frontier = closure([p])
-    for action in trace:
-        nxt: list[Process] = []
-        seen: set[Process] = set()
-        for q in frontier:
-            for st in process_steps(q):
-                if st.label == action and st.target not in seen:
-                    seen.add(st.target)
-                    nxt.append(st.target)
-        frontier = closure(nxt)
-        if not frontier:
-            break
-    return frontier
+    """All process terms reachable from `p` through the weak trace
+    relation.  These are the monitor dynamics under "O" with no verdict
+    self-loops, which is a monitor engine over the empty alphabet."""
+    return StepEngine(frozenset(), "O", cap=cap).derive(p, trace)

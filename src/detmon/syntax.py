@@ -139,131 +139,100 @@ class _Parser:
         self.next()
         return name
 
-    # -- monitors ----------------------------------------------------------
+    # -- expressions -------------------------------------------------------
+    #
+    # Both grammars are parsed by one loop, without a Python frame per
+    # nesting level.  An operand is a run of wrappers (prefixes and
+    # modalities, read by `prefix`; binders) ending in an atom (read by
+    # `atom`) or in a parenthesis.  A binder's body extends as far right as
+    # it can, so a binder, like a parenthesis, opens a frame: its wrappers
+    # and one operand list per binary operator, loosest first.  A frame
+    # closes at the first token that continues none of its lists.
 
-    def monitor(self) -> Monitor:
-        summands = [self.m_operand()]
-        while self.at_sym("+"):
-            self.next()
-            summands.append(self.m_operand())
-        return mk_sum(summands)
+    def expression(self, binders: dict, ops: tuple, joins: tuple, prefix, atom) -> Term:
+        tight = len(ops) - 1
+        frames: list[tuple] = [([], False, [[] for _ in ops])]  # wraps, paren, lists
+        wraps: list[tuple[type, str]] = []
+        while True:
+            tok = self.tokens[self.i]
+            if tok.text == "(" or tok.kind == "ident" and tok.text in binders:
+                self.i += 1
+                if tok.text != "(":
+                    wraps.append((binders[tok.text], self.expect_binder_name()))
+                    self.expect_sym(".")
+                frames.append((wraps, tok.text == "(", [[] for _ in ops]))
+                wraps = []
+                continue
+            wrap = prefix(tok)
+            if wrap is not None:
+                wraps.append(wrap)
+                continue
+            value = atom(tok)
+            while True:
+                for cls, label in reversed(wraps):
+                    value = cls(label, value)
+                if not frames:
+                    return value
+                _, paren, levels = frames[-1]
+                levels[tight].append(value)
+                tok = self.tokens[self.i]
+                op = ops.index(tok.text) if tok.kind == "sym" and tok.text in ops else -1
+                if op < tight:
+                    for i in range(tight, max(op, 0), -1):
+                        levels[i - 1].append(_join(joins[i], levels[i]))
+                        levels[i] = []
+                if op >= 0:
+                    self.i += 1
+                    wraps = []
+                    break
+                value = _join(joins[0], levels[0])
+                wraps = frames.pop()[0]
+                if paren:
+                    self.expect_sym(")")
 
-    def m_operand(self) -> Monitor:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "rec":
-            self.next()
-            name = self.expect_binder_name()
-            self.expect_sym(".")
-            return Rec(name, self.monitor())
-        return self.m_prefixed()
-
-    def m_prefixed(self) -> Monitor:
-        tok = self.peek()
+    def m_prefix(self, tok: _Token) -> tuple[type, str] | None:
         if tok.kind == "bracket":
             if tok.text != NO_MARKER or not self.allow_marker:
                 raise self.err(f"reserved action {tok.text!r} is not allowed here")
-            self.next()
-            self.expect_sym(".")
-            return Prefix(NO_MARKER, self.m_after_dot())
-        if tok.kind == "ident":
-            name = tok.text
-            if name in VERDICTS:
-                self.next()
-                if self.at_sym("."):
-                    raise self.err("a verdict cannot be action-prefixed")
-                return Verdict(name)
-            if name == "nil":
-                raise self.err("'nil' is a process, not a monitor")
-            if name in self.alphabet:
-                self.next()
-                self.expect_sym(".")
-                return Prefix(name, self.m_after_dot())
-            if name == "rec":
-                raise self.err("misplaced 'rec'")
-            # A variable.  A following dot would mean it was meant as an
-            # action the alphabet does not declare.
-            self.next()
-            if self.at_sym("."):
-                raise self.err(f"unknown action {name!r}")
-            return Var(name)
-        if self.at_sym("("):
-            self.next()
-            inner = self.monitor()
-            self.expect_sym(")")
-            return inner
-        raise self.err(f"unexpected {tok.text or 'end of input'!r} in monitor")
+        elif tok.kind != "ident" or tok.text not in self.alphabet:
+            return None
+        self.i += 1
+        self.expect_sym(".")
+        return Prefix, tok.text
 
-    def m_after_dot(self) -> Monitor:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "rec":
-            return self.m_operand()
-        return self.m_prefixed()
+    def m_atom(self, tok: _Token) -> Monitor:
+        if tok.kind != "ident":
+            raise self.err(f"unexpected {tok.text or 'end of input'!r} in monitor")
+        if tok.text == "nil":
+            raise self.err("'nil' is a process, not a monitor")
+        self.i += 1
+        if self.at_sym("."):
+            if tok.text in VERDICTS:
+                raise self.err("a verdict cannot be action-prefixed")
+            # A variable meant as an action the alphabet does not declare.
+            raise self.err(f"unknown action {tok.text!r}")
+        return Verdict(tok.text) if tok.text in VERDICTS else Var(tok.text)
 
-    # -- formulas ----------------------------------------------------------
+    def f_prefix(self, tok: _Token) -> tuple[type, str] | None:
+        if tok.kind not in ("bracket", "dia"):
+            return None
+        action = tok.text[1:-1]
+        if action not in self.alphabet:
+            raise self.err(f"unknown action {action!r}")
+        self.i += 1
+        return (Box if tok.kind == "bracket" else Diamond), action
 
-    def formula(self) -> Formula:
-        disjuncts = [self.f_and()]
-        while self.at_sym("|"):
-            self.next()
-            disjuncts.append(self.f_and())
-        if len(disjuncts) == 1:
-            return disjuncts[0]
-        return mk_or(disjuncts)
-
-    def f_and(self) -> Formula:
-        conjuncts = [self.f_unary()]
-        while self.at_sym("&"):
-            self.next()
-            conjuncts.append(self.f_unary())
-        if len(conjuncts) == 1:
-            return conjuncts[0]
-        return mk_and(conjuncts)
-
-    def f_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "bracket":
-            action = tok.text[1:-1]
-            if action not in self.alphabet:
-                raise self.err(f"unknown action {action!r}")
-            self.next()
-            return Box(action, self.f_unary())
-        if tok.kind == "dia":
-            action = tok.text[1:-1]
-            if action not in self.alphabet:
-                raise self.err(f"unknown action {action!r}")
-            self.next()
-            return Diamond(action, self.f_unary())
-        if tok.kind == "ident" and tok.text in ("max", "min"):
-            cls = Max if tok.text == "max" else Min
-            self.next()
-            name = self.expect_binder_name()
-            self.expect_sym(".")
-            return cls(name, self.formula())
-        return self.f_atom()
-
-    def f_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text == "tt":
-                self.next()
-                return TT()
-            if tok.text == "ff":
-                self.next()
-                return FF()
-            if tok.text in self.alphabet:
-                raise self.err(
-                    f"action {tok.text!r} cannot stand alone in a formula"
-                )
-            if tok.text in ("rec", "nil", TAU, *VERDICTS):
-                raise self.err(f"unexpected {tok.text!r} in formula")
-            self.next()
-            return Var(tok.text)
-        if self.at_sym("("):
-            self.next()
-            inner = self.formula()
-            self.expect_sym(")")
-            return inner
-        raise self.err(f"unexpected {tok.text or 'end of input'!r} in formula")
+    def f_atom(self, tok: _Token) -> Formula:
+        if tok.kind != "ident":
+            raise self.err(f"unexpected {tok.text or 'end of input'!r} in formula")
+        if tok.text in self.alphabet:
+            raise self.err(f"action {tok.text!r} cannot stand alone in a formula")
+        if tok.text in ("rec", "nil", TAU, *VERDICTS):
+            raise self.err(f"unexpected {tok.text!r} in formula")
+        self.i += 1
+        if tok.text in ("tt", "ff"):
+            return TT() if tok.text == "tt" else FF()
+        return Var(tok.text)
 
     def finish(self) -> None:
         tok = self.peek()
@@ -271,18 +240,23 @@ class _Parser:
             raise self.err(f"trailing input starting at {tok.text!r}")
 
 
+def _join(build, items: list[Term]) -> Term:
+    return items[0] if len(items) == 1 else build(items)
+
+
 def parse_monitor(
     text: str, alphabet: frozenset[str], allow_marker: bool = False
 ) -> Monitor:
     p = _Parser(text, alphabet, allow_marker)
-    m = p.monitor()
+    m = p.expression({"rec": Rec}, ("+",), (mk_sum,), p.m_prefix, p.m_atom)
     p.finish()
     return m
 
 
 def parse_formula(text: str, alphabet: frozenset[str]) -> Formula:
     p = _Parser(text, alphabet, allow_marker=False)
-    f = p.formula()
+    binders = {"max": Max, "min": Min}
+    f = p.expression(binders, ("|", "&"), (mk_or, mk_and), p.f_prefix, p.f_atom)
     p.finish()
     return f
 
@@ -291,85 +265,10 @@ def parse_formula(text: str, alphabet: frozenset[str]) -> Formula:
 # Printing
 # ---------------------------------------------------------------------------
 
-
-def _pm_sum(t: Term) -> str:
-    if isinstance(t, Sum):
-        parts = []
-        last = len(t.summands) - 1
-        for i, s in enumerate(t.summands):
-            text = _pm_operand(s)
-            if isinstance(s, Rec) and i != last:
-                text = f"({text})"
-            parts.append(text)
-        return " + ".join(parts)
-    return _pm_operand(t)
-
-
-def _pm_operand(t: Term) -> str:
-    if isinstance(t, Verdict):
-        return t.value
-    if isinstance(t, Nil):
-        return "nil"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Rec):
-        return f"rec {t.var}. {_pm_sum(t.body)}"
-    if isinstance(t, Prefix):
-        body = t.body
-        if isinstance(body, (Sum, Rec)):
-            return f"{t.action}.({_pm_sum(body)})"
-        return f"{t.action}.{_pm_operand(body)}"
-    raise TermError(f"not a monitor/process term: {t!r}")
-
-
-def _pf_or(t: Formula) -> str:
-    if isinstance(t, Or):
-        parts = []
-        last = len(t.disjuncts) - 1
-        for i, d in enumerate(t.disjuncts):
-            text = _pf_and(d)
-            if isinstance(d, (Max, Min)) and i != last:
-                text = f"({text})"
-            parts.append(text)
-        return " | ".join(parts)
-    return _pf_and(t)
-
-
-def _pf_and(t: Formula) -> str:
-    if isinstance(t, And):
-        parts = []
-        last = len(t.conjuncts) - 1
-        for i, c in enumerate(t.conjuncts):
-            if isinstance(c, Or):
-                text = f"({_pf_or(c)})"
-            elif isinstance(c, (Max, Min)) and i != last:
-                text = f"({_pf_unary(c)})"
-            else:
-                text = _pf_unary(c)
-            parts.append(text)
-        return " & ".join(parts)
-    return _pf_unary(t)
-
-
-def _pf_unary(t: Formula) -> str:
-    if isinstance(t, TT):
-        return "tt"
-    if isinstance(t, FF):
-        return "ff"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, (Max, Min)):
-        kw = "max" if isinstance(t, Max) else "min"
-        return f"{kw} {t.var}. {_pf_or(t.body)}"
-    if isinstance(t, (Box, Diamond)):
-        wrap = "[{}]" if isinstance(t, Box) else "<{}>"
-        body = t.body
-        if isinstance(body, (And, Or, Max, Min)):
-            return wrap.format(t.action) + f"({_pf_or(body)})"
-        return wrap.format(t.action) + _pf_unary(body)
-    if isinstance(t, Or):
-        return f"({_pf_or(t)})"
-    raise TermError(f"not a formula: {t!r}")
+_WORDS = {Nil: "nil", TT: "tt", FF: "ff", Rec: "rec", Max: "max", Min: "min"}
+# Per n-ary operator: its separator, and the operands that need parentheses
+# when not last, because a binder swallows everything to its right.
+_NARY = {Sum: (" + ", Rec), And: (" & ", (Max, Min)), Or: (" | ", (Max, Min))}
 
 
 def print_term(t: Term) -> str:
@@ -377,11 +276,55 @@ def print_term(t: Term) -> str:
 
     Inverse of the parsers: ``parse(print_term(t)) == t``.
     """
-    if isinstance(t, (TT, FF, Box, Diamond, And, Or, Max, Min)):
-        return _pf_or(t)
-    if isinstance(t, Var):
-        return t.name
-    return _pm_sum(t)
+    out: list[str] = []
+    emit = out.append
+    # Text still to write, last item first: strings verbatim, nodes printed.
+    todo: list[object] = [t]
+    push = todo.append
+    while todo:
+        x = todo.pop()
+        cls = type(x)
+        if cls is str:
+            emit(x)
+        elif cls is Prefix or cls is Box or cls is Diamond:
+            body = x.body
+            if cls is Prefix:
+                emit(x.action + ".")
+                grouped = type(body) in (Sum, Rec)
+            else:
+                emit(f"[{x.action}]" if cls is Box else f"<{x.action}>")
+                grouped = type(body) in (And, Or, Max, Min)
+            if grouped:
+                emit("(")
+                push(")")
+            push(body)
+        elif cls is Verdict:
+            emit(x.value)
+        elif cls is Var:
+            emit(x.name)
+        elif cls is Rec or cls is Max or cls is Min:
+            emit(f"{_WORDS[cls]} {x.var}. ")
+            push(x.body)
+        elif cls is Sum or cls is And or cls is Or:
+            sep, binders = _NARY[cls]
+            kids = x.children()
+            last = len(kids) - 1
+            for i in range(last, -1, -1):
+                c = kids[i]
+                # A disjunction binds looser than the conjunction around it.
+                if isinstance(c, binders) and i != last or (
+                    cls is And and type(c) is Or
+                ):
+                    todo += (")", c, "(")
+                else:
+                    push(c)
+                if i:
+                    push(sep)
+        elif cls in _WORDS:
+            emit(_WORDS[cls])
+        else:
+            raise TermError(f"not a term: {x!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

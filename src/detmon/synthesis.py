@@ -26,6 +26,7 @@ from .terms import (
     Prefix,
     Process,
     Rec,
+    SKIP,
     Sum,
     TT,
     TermError,
@@ -34,7 +35,7 @@ from .terms import (
     binder_names,
     dualize,
     dualize_monitor,
-    free_vars,
+    fold,
     is_chml,
     is_shml,
     mk_and,
@@ -91,33 +92,25 @@ def msf(f: Formula) -> Monitor:
                 if name not in order:
                     order.append(name)
         vmap = _name_map(order, str.lower)
+        yes = Verdict(YES)
 
-        def syn(g: Formula) -> Monitor:
+        def syn(g: Formula, kids) -> Monitor:
             if isinstance(g, TT):
-                return Verdict(YES)
+                return yes
             if isinstance(g, FF):
                 return Verdict(NO)
             if isinstance(g, Var):
                 return Var(vmap[g.name])
             if isinstance(g, Box):
-                m = syn(g.body)
-                if m == Verdict(YES):
-                    return Verdict(YES)
-                return Prefix(g.action, m)
+                return yes if kids[0] == yes else Prefix(g.action, kids[0])
             if isinstance(g, And):
-                ms = [syn(c) for c in g.conjuncts]
-                ms = [m for m in ms if m != Verdict(YES)]
-                if not ms:
-                    return Verdict(YES)
-                return mk_sum(ms)
+                ms = [m for m in kids if m != yes]
+                return mk_sum(ms) if ms else yes
             if isinstance(g, Max):
-                m = syn(g.body)
-                if m == Verdict(YES):
-                    return Verdict(YES)
-                return Rec(vmap[g.var], m)
+                return yes if kids[0] == yes else Rec(vmap[g.var], kids[0])
             raise FragmentError(f"not a safety formula: {g!r}")
 
-        return syn(f)
+        return fold(f, syn)
     if is_chml(f):
         return dualize_monitor(msf(dualize(f)))
     raise FragmentError("synthesis is defined on the safety and co-safety fragments")
@@ -147,52 +140,57 @@ def monitor_to_formula(m: Monitor) -> Formula:
             order.append(t.name)
     vmap = _name_map(order, str.upper)
 
-    def rd(t: Monitor) -> Formula:
+    def rd(t: Monitor, kids) -> Formula:
         if isinstance(t, Verdict):
             return FF()  # only 'no' can occur here
         if isinstance(t, Var):
             return Var(vmap[t.name])
         if isinstance(t, Prefix):
-            return Box(t.action, rd(t.body))
+            return Box(t.action, kids[0])
         if isinstance(t, Sum):
-            return mk_and(rd(s) for s in t.summands)
+            return mk_and(kids)
         if isinstance(t, Rec):
-            return Max(vmap[t.var], rd(t.body))
+            return Max(vmap[t.var], kids[0])
         raise TermError(f"not a monitor term: {t!r}")
 
-    return rd(m)
+    return fold(m, rd)
+
+
+def _pi(m: Monitor, kids) -> Process:
+    if isinstance(m, Verdict):
+        return Prefix(VERDICT_ACTIONS[m.value], Nil())
+    if isinstance(m, (Var, Prefix, Sum, Rec)):
+        return m.rebuild(kids)
+    raise TermError(f"not a monitor term: {m!r}")
 
 
 def pi(m: Monitor) -> Process:
     """Recast a monitor as a process: each verdict becomes the matching
     verdict-labelled action prefixing ``nil``."""
-    if isinstance(m, Verdict):
-        return Prefix(VERDICT_ACTIONS[m.value], Nil())
-    if isinstance(m, Var):
-        return m
-    if isinstance(m, Prefix):
-        return Prefix(m.action, pi(m.body))
-    if isinstance(m, Sum):
-        return Sum(tuple(pi(s) for s in m.summands))
-    if isinstance(m, Rec):
-        return Rec(m.var, pi(m.body))
-    raise TermError(f"not a monitor term: {m!r}")
+    return fold(m, _pi)
+
+
+def _verdict_action(p: Process, env: None):
+    if isinstance(p, Prefix) and p.action in _ACTION_VERDICTS:
+        return SKIP
+    return env
+
+
+def _pi_inverse(p: Process, kids, env) -> Monitor:
+    if env is SKIP:
+        return Verdict(_ACTION_VERDICTS[p.action])
+    if isinstance(p, Nil):
+        raise TermError("bare 'nil' has no monitor reading")
+    if isinstance(p, (Var, Prefix, Rec)):
+        return p.rebuild(kids)
+    if isinstance(p, Sum):
+        return mk_sum(kids)
+    raise TermError(f"not a process term: {p!r}")
 
 
 def pi_inverse(p: Process) -> Monitor:
     """Undo `pi`.  A verdict-labelled action becomes that verdict (its
     continuation is irrelevant: after a verdict everything stays that
-    verdict); a bare ``nil`` has no monitor reading and is an error."""
-    if isinstance(p, Nil):
-        raise TermError("bare 'nil' has no monitor reading")
-    if isinstance(p, Var):
-        return p
-    if isinstance(p, Prefix):
-        if p.action in _ACTION_VERDICTS:
-            return Verdict(_ACTION_VERDICTS[p.action])
-        return Prefix(p.action, pi_inverse(p.body))
-    if isinstance(p, Sum):
-        return mk_sum(pi_inverse(s) for s in p.summands)
-    if isinstance(p, Rec):
-        return Rec(p.var, pi_inverse(p.body))
-    raise TermError(f"not a process term: {p!r}")
+    verdict, so it is not visited); a bare ``nil`` has no monitor
+    reading and is an error."""
+    return fold(p, _pi_inverse, _verdict_action)

@@ -8,13 +8,17 @@ synthesised from; the safety fragment uses box/conjunction/greatest
 fixpoints, the co-safety fragment the duals.
 
 All nodes are immutable and compare structurally, so terms can be used
-as set members and dict keys throughout the package.
+as set members and dict keys throughout the package.  Each node computes
+its hash once, at construction, from its children's cached hashes, and
+every walk over a term goes through `fold` on an explicit stack, so no
+operation here is limited by the depth of its term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from collections import Counter
+from operator import is_, is_not
+from typing import Callable, Iterable, Iterator, Union
 
 # Verdict names.
 YES = "yes"
@@ -47,132 +51,354 @@ class FragmentError(TermError):
 
 
 # ---------------------------------------------------------------------------
-# Monitor / process nodes
+# Nodes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Node:
+    """An immutable term node.
+
+    Subclasses set their fields through the slot descriptors, since
+    ordinary assignment is refused, and store the structural hash in
+    ``_hash``.  ``children`` and ``rebuild`` are the traversal interface
+    `fold` uses; ``_label`` is the one non-term field, if any.
+    """
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            while a is not b:  # down a run of single children without the stack
+                if type(a) is not type(b) or a._hash != b._hash or a._label() != b._label():
+                    return False
+                ka, kb = a.children(), b.children()
+                if len(ka) != 1 or len(kb) != 1:
+                    if len(ka) != len(kb):
+                        return False
+                    stack.extend(zip(ka, kb))
+                    break
+                a, b = ka[0], kb[0]
+        return True
+
+    def __repr__(self) -> str:
+        from .syntax import print_term  # the printer needs these classes
+
+        return f"<{type(self).__name__} {print_term(self)}>"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def children(self) -> tuple[Term, ...]:
+        return ()
+
+    def rebuild(self, kids) -> Term:
+        """This node with `kids` for its children; the node itself when
+        they are the children it already has."""
+        return self
+
+    def _label(self) -> str | None:
+        return None
+
+
+_set_hash = _Node._hash.__set__
+
+
+class _Constant(_Node):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set_hash(self, hash(type(self).__name__))
+
+
+class Verdict(_Node):
     """A committed verdict: ``yes``, ``no`` or the inconclusive ``end``."""
 
-    value: str
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value not in VERDICTS:
-            raise TermError(f"unknown verdict {self.value!r}")
+    def __init__(self, value: str):
+        if value not in VERDICTS:
+            raise TermError(f"unknown verdict {value!r}")
+        _set_value(self, value)
+        _set_hash(self, hash(("Verdict", value)))
+
+    def _label(self) -> str:
+        return self.value
 
 
-@dataclass(frozen=True)
-class Nil:
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, hash(("Var", name)))
+
+    def _label(self) -> str:
+        return self.name
+
+
+class _Unary(_Node):
+    """A node over one body, under a label: its action or its variable."""
+
+    __slots__ = ("body",)
+
+    def children(self) -> tuple[Term, ...]:
+        return (self.body,)
+
+    def rebuild(self, kids) -> Term:
+        body = kids[0]
+        return self if body is self.body else type(self)(self._label(), body)
+
+
+class _Guarded(_Unary):
+    """An action guarding the body: prefixes and modalities."""
+
+    __slots__ = ("action",)
+    __match_args__ = ("action", "body")
+
+    def __init__(self, action: str, body: Term):
+        _set_action(self, action)
+        _set_body(self, body)
+        _set_hash(self, hash((type(self), action, body._hash)))
+
+    def _label(self) -> str:
+        return self.action
+
+
+class _Binder(_Unary):
+    """A recursion or fixpoint binder over the body."""
+
+    __slots__ = ("var",)
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Term):
+        _set_var(self, var)
+        _set_body(self, body)
+        _set_hash(self, hash((type(self), var, body._hash)))
+
+    def _label(self) -> str:
+        return self.var
+
+
+class _Nary(_Node):
+    """A flat n-ary operator: at least two operands, none of its own kind.
+    Subclasses name their one field and the two error messages."""
+
+    __slots__ = ()
+    _few: str
+    _nested: str
+
+    def __init_subclass__(cls) -> None:
+        cls._set_items = getattr(cls, cls.__match_args__[0]).__set__
+
+    def __init__(self, items: tuple[Term, ...]):
+        items = tuple(items)
+        if len(items) < 2:
+            raise TermError(self._few)
+        cls = type(self)
+        hashes: list[object] = [cls]
+        for x in items:
+            if type(x) is cls:
+                raise TermError(self._nested)
+            hashes.append(x._hash)
+        self._set_items(self, items)
+        _set_hash(self, hash(tuple(hashes)))
+
+    def rebuild(self, kids) -> Term:
+        kids = tuple(kids)
+        old = self.children()
+        if len(kids) == len(old) and all(map(is_, kids, old)):
+            return self
+        return type(self)(kids)
+
+
+_set_value = Verdict.value.__set__
+_set_name = Var.name.__set__
+_set_body = _Unary.body.__set__
+_set_action = _Guarded.action.__set__
+_set_var = _Binder.var.__set__
+
+
+# Monitor / process nodes.
+
+
+class Nil(_Constant):
     """The inert process.  Unlike a verdict it has no transitions at all."""
 
-
-@dataclass(frozen=True)
-class Prefix:
-    action: str
-    body: "Term"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
+class Prefix(_Guarded):
+    __slots__ = ()
+
+
+class Sum(_Nary):
     """An n-ary external choice, kept flat: no summand is itself a Sum."""
 
-    summands: tuple["Term", ...]
+    __slots__ = __match_args__ = ("summands",)
+    _few = "a choice needs at least two summands"
+    _nested = "nested Sum; build choices with mk_sum"
 
-    def __post_init__(self) -> None:
-        if len(self.summands) < 2:
-            raise TermError("a choice needs at least two summands")
-        if any(isinstance(s, Sum) for s in self.summands):
-            raise TermError("nested Sum; build choices with mk_sum")
-
-
-@dataclass(frozen=True)
-class Rec:
-    var: str
-    body: "Term"
+    def children(self) -> tuple[Term, ...]:
+        return self.summands
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Rec(_Binder):
+    __slots__ = ()
 
 
 Monitor = Union[Verdict, Prefix, Sum, Rec, Var]
 Process = Union[Nil, Prefix, Sum, Rec, Var]
 
 
-# ---------------------------------------------------------------------------
-# Formula nodes
-# ---------------------------------------------------------------------------
+# Formula nodes.
 
 
-@dataclass(frozen=True)
-class TT:
-    pass
+class TT(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FF:
-    pass
+class FF(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Guarded):
     """Universal modality: after every weak `action`-step the body holds."""
 
-    action: str
-    body: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(_Guarded):
     """Existential modality, the dual of Box."""
 
-    action: str
-    body: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    conjuncts: tuple["Formula", ...]
+class And(_Nary):
+    __slots__ = __match_args__ = ("conjuncts",)
+    _few = "a conjunction needs at least two conjuncts"
+    _nested = "nested And; build conjunctions with mk_and"
 
-    def __post_init__(self) -> None:
-        if len(self.conjuncts) < 2:
-            raise TermError("a conjunction needs at least two conjuncts")
-        if any(isinstance(c, And) for c in self.conjuncts):
-            raise TermError("nested And; build conjunctions with mk_and")
+    def children(self) -> tuple[Term, ...]:
+        return self.conjuncts
 
 
-@dataclass(frozen=True)
-class Or:
-    disjuncts: tuple["Formula", ...]
+class Or(_Nary):
+    __slots__ = __match_args__ = ("disjuncts",)
+    _few = "a disjunction needs at least two disjuncts"
+    _nested = "nested Or; build disjunctions with mk_or"
 
-    def __post_init__(self) -> None:
-        if len(self.disjuncts) < 2:
-            raise TermError("a disjunction needs at least two disjuncts")
-        if any(isinstance(d, Or) for d in self.disjuncts):
-            raise TermError("nested Or; build disjunctions with mk_or")
+    def children(self) -> tuple[Term, ...]:
+        return self.disjuncts
 
 
-@dataclass(frozen=True)
-class Max:
+class Max(_Binder):
     """Greatest fixpoint binder."""
 
-    var: str
-    body: "Formula"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Min:
+class Min(_Binder):
     """Least fixpoint binder."""
 
-    var: str
-    body: "Formula"
+    __slots__ = ()
 
 
 Formula = Union[TT, FF, Box, Diamond, And, Or, Max, Min, Var]
 
 Term = Union[Monitor, Process, Formula]
+
+
+# ---------------------------------------------------------------------------
+# The traversal kernel
+# ---------------------------------------------------------------------------
+
+# Returned by an `enter` callback: leave this node's children unvisited.
+SKIP = object()
+_UNSEEN = object()
+
+
+def fold(root, combine: Callable, enter: Callable | None = None, env=None, children=None):
+    """Fold `root` bottom-up on an explicit stack, children left to right.
+
+    Without `enter`, ``combine(node, results)`` gives a node's result from
+    its children's results, and each distinct node object is combined
+    once per call: a shared subterm is visited once, and a rebuilt term
+    shares it too.
+
+    With `enter`, the walk carries an environment down from `env` and
+    combines every occurrence.  ``enter(node, env)`` runs before the
+    node's children and returns the environment they see, or SKIP to
+    leave them unvisited; ``combine(node, results, env)`` then gets that
+    returned value, and no results when it was SKIP.
+
+    `children` maps a node to its children (by default its ``children()``
+    method), so any finite acyclic structure can be folded.
+    """
+    memo: dict[int, object] | None = {} if enter is None else None
+    keep: list = []  # the folded nodes, so that their ids stay their own
+    out: list = []
+    stack: list = [(root, env, None)]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        node, e, kids = pop()
+        if kids is None:
+            if memo is None:
+                e = enter(node, e)
+            else:
+                r = memo.get(id(node), _UNSEEN)
+                if r is not _UNSEEN:
+                    emit(r)
+                    continue
+            if e is SKIP:
+                kids = ()
+            else:
+                kids = node.children() if children is None else children(node)
+            if kids:
+                push((node, e, kids))
+                if len(kids) == 1:
+                    push((kids[0], e, None))
+                else:
+                    stack.extend([(k, e, None) for k in reversed(kids)])
+                continue
+            results = ()
+        elif len(kids) == 1:
+            results = (out.pop(),)
+        else:
+            results = out[-len(kids):]
+            del out[-len(kids):]
+        if memo is None:
+            emit(combine(node, results, e))
+        else:
+            r = combine(node, results)
+            memo[id(node)] = r
+            keep.append(node)
+            emit(r)
+    return out[0]
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """All subterms in preorder, including the term itself."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(t.children()))
 
 
 # ---------------------------------------------------------------------------
@@ -195,50 +421,35 @@ def mk_sum(summands: Iterable[Monitor]) -> Monitor:
     return Sum(tuple(flat))
 
 
-def mk_and(conjuncts: Iterable[Formula]) -> Formula:
-    """Flat conjunction with units applied: drops tt, absorbs ff,
-    deduplicates while preserving first-occurrence order.  The empty
-    conjunction is tt."""
+def _mk_flat(items: Iterable[Formula], cls: type, unit: type, zero: type) -> Formula:
     flat: list[Formula] = []
-    for c in conjuncts:
-        if isinstance(c, And):
-            flat.extend(c.conjuncts)
+    for c in items:
+        if isinstance(c, cls):
+            flat.extend(c.children())
         else:
             flat.append(c)
     out: list[Formula] = []
     for c in flat:
-        if isinstance(c, FF):
-            return FF()
-        if isinstance(c, TT) or c in out:
+        if isinstance(c, zero):
+            return zero()
+        if isinstance(c, unit) or c in out:
             continue
         out.append(c)
     if not out:
-        return TT()
-    if len(out) == 1:
-        return out[0]
-    return And(tuple(out))
+        return unit()
+    return out[0] if len(out) == 1 else cls(tuple(out))
+
+
+def mk_and(conjuncts: Iterable[Formula]) -> Formula:
+    """Flat conjunction with units applied: drops tt, absorbs ff,
+    deduplicates while preserving first-occurrence order.  The empty
+    conjunction is tt."""
+    return _mk_flat(conjuncts, And, TT, FF)
 
 
 def mk_or(disjuncts: Iterable[Formula]) -> Formula:
     """Dual of mk_and: drops ff, absorbs tt; the empty disjunction is ff."""
-    flat: list[Formula] = []
-    for d in disjuncts:
-        if isinstance(d, Or):
-            flat.extend(d.disjuncts)
-        else:
-            flat.append(d)
-    out: list[Formula] = []
-    for d in flat:
-        if isinstance(d, TT):
-            return TT()
-        if isinstance(d, FF) or d in out:
-            continue
-        out.append(d)
-    if not out:
-        return FF()
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return _mk_flat(disjuncts, Or, FF, TT)
 
 
 def prefix_chain(actions: Iterable[str], tail: Monitor) -> Monitor:
@@ -254,93 +465,60 @@ def prefix_chain(actions: Iterable[str], tail: Monitor) -> Monitor:
 # ---------------------------------------------------------------------------
 
 
+def _size(t: Term, kids) -> int:
+    if isinstance(t, (Prefix, Rec)):
+        return 1 + kids[0]
+    if isinstance(t, Sum):
+        return len(kids) - 1 + sum(kids)
+    if isinstance(t, (Verdict, Var, Nil)):
+        return 1
+    raise TermError(f"size is defined on monitor/process terms, not {t!r}")
+
+
 def size(term: Term) -> int:
     """Node count of a monitor or process term.
 
     An n-ary choice contributes n-1 (it stands for n-1 binary choices).
     """
-    if isinstance(term, (Verdict, Var, Nil)):
+    return fold(term, _size)
+
+
+def _height(t: Term, kids) -> int:
+    if isinstance(t, Prefix):
+        return 1 + kids[0]
+    if isinstance(t, (Rec, Sum)):
+        return max(kids)
+    if isinstance(t, (Verdict, Var, Nil)):
         return 1
-    if isinstance(term, Prefix):
-        return 1 + size(term.body)
-    if isinstance(term, Rec):
-        return 1 + size(term.body)
-    if isinstance(term, Sum):
-        return len(term.summands) - 1 + sum(size(s) for s in term.summands)
-    raise TermError(f"size is defined on monitor/process terms, not {term!r}")
+    raise TermError(f"height is defined on monitor/process terms, not {t!r}")
 
 
 def height(term: Term) -> int:
     """Longest chain of action prefixes; recursion binders add nothing."""
-    if isinstance(term, (Verdict, Var, Nil)):
-        return 1
-    if isinstance(term, Prefix):
-        return 1 + height(term.body)
-    if isinstance(term, Rec):
-        return height(term.body)
-    if isinstance(term, Sum):
-        return max(height(s) for s in term.summands)
-    raise TermError(f"height is defined on monitor/process terms, not {term!r}")
+    return fold(term, _height)
 
 
-def subterms(term: Term) -> Iterator[Term]:
-    """All subterms in preorder, including the term itself."""
-    yield term
-    if isinstance(term, (Prefix, Rec)):
-        yield from subterms(term.body)
-    elif isinstance(term, Sum):
-        for s in term.summands:
-            yield from subterms(s)
-    elif isinstance(term, (Box, Diamond, Max, Min)):
-        yield from subterms(term.body)
-    elif isinstance(term, And):
-        for c in term.conjuncts:
-            yield from subterms(c)
-    elif isinstance(term, Or):
-        for d in term.disjuncts:
-            yield from subterms(d)
+_NO_VARS: frozenset[str] = frozenset()
 
 
-def _children(term: Term) -> tuple[Term, ...]:
-    if isinstance(term, (Prefix, Rec, Box, Diamond, Max, Min)):
-        return (term.body,)
-    if isinstance(term, Sum):
-        return term.summands
-    if isinstance(term, And):
-        return term.conjuncts
-    if isinstance(term, Or):
-        return term.disjuncts
-    return ()
+def _free_vars(t: Term, kids) -> frozenset[str]:
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    out = kids[0] if len(kids) == 1 else _NO_VARS.union(*kids)
+    return out - {t.var} if isinstance(t, _Binder) and t.var in out else out
 
 
 def free_vars(term: Term) -> frozenset[str]:
-    if isinstance(term, Var):
-        return frozenset({term.name})
-    if isinstance(term, (Rec, Max, Min)):
-        return free_vars(term.body) - {term.var}
-    out: set[str] = set()
-    for c in _children(term):
-        out |= free_vars(c)
-    return frozenset(out)
+    return fold(term, _free_vars)
 
 
 def binder_names(term: Term) -> list[str]:
     """Names of all recursion binders, in preorder (with repeats)."""
-    out: list[str] = []
-    for t in subterms(term):
-        if isinstance(t, (Rec, Max, Min)):
-            out.append(t.var)
-    return out
+    return [t.var for t in subterms(term) if isinstance(t, _Binder)]
 
 
 def actions_in(term: Term) -> frozenset[str]:
-    out: set[str] = set()
-    for t in subterms(term):
-        if isinstance(t, Prefix):
-            out.add(t.action)
-        elif isinstance(t, (Box, Diamond)):
-            out.add(t.action)
-    return frozenset(out)
+    return frozenset(t.action for t in subterms(term) if isinstance(t, _Guarded))
 
 
 def verdicts_in(term: Term) -> frozenset[str]:
@@ -366,21 +544,20 @@ def subst(term: Term, var: str, replacement: Term) -> Term:
     """term[replacement/var] on monitor/process terms.
 
     No capture avoidance is attempted: the intended use is unfolding
-    recursion, where the planted term is closed.
+    recursion, where the planted term is closed.  Subterms without a
+    free `var` are kept, not copied.
     """
-    if isinstance(term, Var):
-        return replacement if term.name == var else term
-    if isinstance(term, (Verdict, Nil)):
-        return term
-    if isinstance(term, Prefix):
-        return Prefix(term.action, subst(term.body, var, replacement))
-    if isinstance(term, Sum):
-        return Sum(tuple(subst(s, var, replacement) for s in term.summands))
-    if isinstance(term, Rec):
-        if term.var == var:  # shadowed
-            return term
-        return Rec(term.var, subst(term.body, var, replacement))
-    raise TermError(f"cannot substitute into {term!r}")
+
+    def step(t: Term, kids) -> Term:
+        if isinstance(t, Var):
+            return replacement if t.name == var else t
+        if isinstance(t, Rec) and t.var == var:  # shadowed
+            return t
+        if isinstance(t, (Prefix, Sum, Rec, Verdict, Nil)):
+            return t.rebuild(kids)
+        raise TermError(f"cannot substitute into {t!r}")
+
+    return fold(term, step)
 
 
 def subst_formula(f: Formula, mapping: dict[str, Formula]) -> Formula:
@@ -389,26 +566,26 @@ def subst_formula(f: Formula, mapping: dict[str, Formula]) -> Formula:
     Binders deliberately capture: replacing X under ``max X`` is the
     mechanism by which equation elimination re-ties recursion, so a
     bound variable simply shadows any mapping entry of the same name.
+    Subterms the mapping does not reach are kept, not copied.
     """
     if not mapping:
         return f
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, (TT, FF)):
-        return f
-    if isinstance(f, Box):
-        return Box(f.action, subst_formula(f.body, mapping))
-    if isinstance(f, Diamond):
-        return Diamond(f.action, subst_formula(f.body, mapping))
-    if isinstance(f, And):
-        return mk_and(subst_formula(c, mapping) for c in f.conjuncts)
-    if isinstance(f, Or):
-        return mk_or(subst_formula(d, mapping) for d in f.disjuncts)
-    if isinstance(f, (Max, Min)):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        body = subst_formula(f.body, inner)
-        return type(f)(f.var, body)
-    raise TermError(f"cannot substitute into {f!r}")
+
+    def step(t: Formula, kids) -> Formula:
+        if isinstance(t, Var):
+            return mapping.get(t.name, t)
+        if isinstance(t, (Max, Min)) and t.var in mapping:
+            # Shadowed: the body takes the rest of the mapping.  Each such
+            # call drops a name, so they nest at most len(mapping) deep.
+            inner = {k: v for k, v in mapping.items() if k != t.var}
+            return t.rebuild([subst_formula(t.body, inner)])
+        if isinstance(t, (And, Or)) and any(map(is_not, kids, t.children())):
+            return mk_and(kids) if isinstance(t, And) else mk_or(kids)
+        if isinstance(t, (TT, FF, Box, Diamond, Max, Min, And, Or)):
+            return t.rebuild(kids)
+        raise TermError(f"cannot substitute into {t!r}")
+
+    return fold(f, step)
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +593,64 @@ def subst_formula(f: Formula, mapping: dict[str, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_names(bases: list[str], taken: set[str]) -> dict[tuple[str, int], str]:
-    """Assign the i-th binder occurrence of each clashing base a fresh name.
+def _rename_binders(term: Term, fresh: Callable[[Term], str]) -> Term:
+    """Give every binder the name `fresh(binder)`, called in preorder, and
+    every variable it binds the same name."""
+    scope: dict[str, list[str]] = {}
 
-    A base used by exactly one binder keeps its name; a base used by k>1
-    binders has its occurrences renamed base1, base2, ... left to right,
-    skipping anything already taken.
-    """
-    from collections import Counter
+    def enter(t: Term, env: None) -> None:
+        if isinstance(t, _Binder):
+            scope.setdefault(t.var, []).append(fresh(t))
 
+    def step(t: Term, kids, env: None) -> Term:
+        if isinstance(t, Var):
+            names = scope.get(t.name)
+            return Var(names[-1]) if names and names[-1] != t.name else t
+        if isinstance(t, _Binder):
+            new = scope[t.var].pop()
+            return t.rebuild(kids) if new == t.var else type(t)(new, kids[0])
+        return t.rebuild(kids)
+
+    return fold(term, step, enter)
+
+
+def rename_apart(m: Monitor, alphabet: frozenset[str]) -> Monitor:
+    """Rename binders apart: a name bound by k > 1 binders becomes
+    name1, ..., namek in preorder, skipping every name in use, the
+    alphabet and the keywords.  Names bound once stay."""
+    bases = binder_names(m)
     counts = Counter(bases)
-    assignment: dict[tuple[str, int], str] = {}
-    seen: dict[str, int] = {}
-    for base in bases:
-        idx = seen.get(base, 0)
-        seen[base] = idx + 1
-        if counts[base] == 1:
-            assignment[(base, idx)] = base
-            continue
+    taken = (
+        set(bases)
+        | {v.name for v in subterms(m) if isinstance(v, Var)}
+        | set(alphabet)
+        | set(_KEYWORDS)
+    )
+
+    def fresh(t: Rec) -> str:
+        if counts[t.var] == 1:
+            return t.var
         i = 1
-        while True:
-            cand = f"{base}{i}"
-            if cand not in taken:
-                break
+        while f"{t.var}{i}" in taken:
             i += 1
-        taken.add(cand)
-        assignment[(base, idx)] = cand
-    return assignment
+        taken.add(f"{t.var}{i}")
+        return f"{t.var}{i}"
+
+    return _rename_binders(m, fresh)
+
+
+def _collapse(t: Monitor, kids) -> Monitor:
+    if isinstance(t, Rec):
+        return kids[0] if isinstance(kids[0], Verdict) else t.rebuild(kids)
+    if isinstance(t, Sum):
+        # A recursion right inside a choice keeps its binder over a verdict.
+        return mk_sum(
+            Rec(s.var, k) if isinstance(s, Rec) and isinstance(k, Verdict) else k
+            for s, k in zip(t.summands, kids)
+        )
+    if isinstance(t, (Prefix, Verdict, Var)):
+        return t.rebuild(kids)
+    raise TermError(f"not a monitor term: {t!r}")
 
 
 def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
@@ -467,49 +675,7 @@ def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     if clash:
         raise TermError(f"binder names clash with the alphabet: {sorted(clash)}")
 
-    def collapse(t: Monitor, in_sum: bool = False) -> Monitor:
-        if isinstance(t, (Verdict, Var)):
-            return t
-        if isinstance(t, Prefix):
-            return Prefix(t.action, collapse(t.body))
-        if isinstance(t, Sum):
-            return mk_sum(collapse(s, in_sum=True) for s in t.summands)
-        if isinstance(t, Rec):
-            body = collapse(t.body)
-            if isinstance(body, Verdict) and not in_sum:
-                return body
-            return Rec(t.var, body)
-        raise TermError(f"not a monitor term: {t!r}")
-
-    m = collapse(m)
-
-    bases = binder_names(m)
-    taken = (
-        set(bases)
-        | {v.name for v in subterms(m) if isinstance(v, Var)}
-        | set(alphabet)
-        | set(_KEYWORDS)
-    )
-    assignment = _fresh_names(bases, taken)
-    occurrence: dict[str, int] = {}
-
-    def rename(t: Monitor, env: dict[str, str]) -> Monitor:
-        if isinstance(t, Verdict):
-            return t
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Prefix):
-            return Prefix(t.action, rename(t.body, env))
-        if isinstance(t, Sum):
-            return Sum(tuple(rename(s, env) for s in t.summands))
-        if isinstance(t, Rec):
-            idx = occurrence.get(t.var, 0)
-            occurrence[t.var] = idx + 1
-            new = assignment[(t.var, idx)]
-            return Rec(new, rename(t.body, {**env, t.var: new}))
-        raise TermError(f"not a monitor term: {t!r}")
-
-    m = rename(m, {})
+    m = rename_apart(fold(m, _collapse), alphabet)
 
     free = free_vars(m)
     if free:
@@ -520,10 +686,11 @@ def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
 def uniquify_formula(f: Formula, reserved: Iterable[str] = ()) -> Formula:
     """Rename fixpoint binders so all are distinct from each other, from
     every free variable, and from `reserved`."""
-    taken = set(reserved) | set(free_vars(f)) | set(binder_names(f))
-    used: set[str] = set(free_vars(f))
+    used = set(free_vars(f))
+    taken = set(reserved) | used | set(binder_names(f))
 
-    def fresh(base: str) -> str:
+    def fresh(t: Formula) -> str:
+        base = t.var
         if base not in used:
             used.add(base)
             return base
@@ -534,69 +701,47 @@ def uniquify_formula(f: Formula, reserved: Iterable[str] = ()) -> Formula:
         used.add(name)
         return name
 
-    def walk(t: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, (TT, FF)):
-            return t
-        if isinstance(t, Box):
-            return Box(t.action, walk(t.body, env))
-        if isinstance(t, Diamond):
-            return Diamond(t.action, walk(t.body, env))
-        if isinstance(t, And):
-            return And(tuple(walk(c, env) for c in t.conjuncts))
-        if isinstance(t, Or):
-            return Or(tuple(walk(d, env) for d in t.disjuncts))
-        if isinstance(t, (Max, Min)):
-            new = fresh(t.var)
-            return type(t)(new, walk(t.body, {**env, t.var: new}))
-        raise TermError(f"not a formula: {t!r}")
+    return _rename_binders(f, fresh)
 
-    return walk(f, {})
+
+_DUALS = {TT: FF, FF: TT, Box: Diamond, Diamond: Box, And: Or, Or: And, Max: Min, Min: Max}
+
+
+def _dualize(t: Formula, kids) -> Formula:
+    if isinstance(t, Var):
+        return t
+    dual = _DUALS.get(type(t))
+    if dual is None:
+        raise TermError(f"not a formula: {t!r}")
+    if isinstance(t, _Constant):
+        return dual()
+    if isinstance(t, _Nary):
+        return dual(tuple(kids))
+    return dual(t._label(), kids[0])
 
 
 def dualize(f: Formula) -> Formula:
     """Swap each formula construct with its dual (tt/ff, box/diamond,
     and/or, max/min).  An involution; maps the safety fragment onto the
     co-safety fragment and back."""
-    if isinstance(f, TT):
-        return FF()
-    if isinstance(f, FF):
-        return TT()
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, Box):
-        return Diamond(f.action, dualize(f.body))
-    if isinstance(f, Diamond):
-        return Box(f.action, dualize(f.body))
-    if isinstance(f, And):
-        return Or(tuple(dualize(c) for c in f.conjuncts))
-    if isinstance(f, Or):
-        return And(tuple(dualize(d) for d in f.disjuncts))
-    if isinstance(f, Max):
-        return Min(f.var, dualize(f.body))
-    if isinstance(f, Min):
-        return Max(f.var, dualize(f.body))
-    raise TermError(f"not a formula: {f!r}")
+    return fold(f, _dualize)
 
 
-def dualize_monitor(m: Monitor) -> Monitor:
-    """Swap the yes and no verdicts throughout; ``end`` stays put."""
+def _dualize_monitor(m: Monitor, kids) -> Monitor:
     if isinstance(m, Verdict):
         if m.value == YES:
             return Verdict(NO)
         if m.value == NO:
             return Verdict(YES)
         return m
-    if isinstance(m, Var):
-        return m
-    if isinstance(m, Prefix):
-        return Prefix(m.action, dualize_monitor(m.body))
-    if isinstance(m, Sum):
-        return Sum(tuple(dualize_monitor(s) for s in m.summands))
-    if isinstance(m, Rec):
-        return Rec(m.var, dualize_monitor(m.body))
+    if isinstance(m, (Var, Prefix, Sum, Rec)):
+        return m.rebuild(kids)
     raise TermError(f"not a monitor term: {m!r}")
+
+
+def dualize_monitor(m: Monitor) -> Monitor:
+    """Swap the yes and no verdicts throughout; ``end`` stays put."""
+    return fold(m, _dualize_monitor)
 
 
 def eliminate_verdict_sums(m: Monitor, alphabet: frozenset[str]) -> Monitor:
@@ -609,23 +754,19 @@ def eliminate_verdict_sums(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     """
     if not alphabet:
         raise TermError("the alphabet must be non-empty")
+    actions = sorted(alphabet)
 
-    def walk(t: Monitor) -> Monitor:
-        if isinstance(t, (Verdict, Var)):
-            return t
-        if isinstance(t, Prefix):
-            return Prefix(t.action, walk(t.body))
-        if isinstance(t, Rec):
-            return Rec(t.var, walk(t.body))
+    def step(t: Monitor, kids) -> Monitor:
         if isinstance(t, Sum):
             out: list[Monitor] = []
-            for s in t.summands:
-                s = walk(s)
+            for s in kids:
                 if isinstance(s, Verdict):
-                    out.extend(Prefix(a, s) for a in sorted(alphabet))
+                    out.extend(Prefix(a, s) for a in actions)
                 else:
                     out.append(s)
             return mk_sum(out)
+        if isinstance(t, (Verdict, Var, Prefix, Rec)):
+            return t.rebuild(kids)
         raise TermError(f"not a monitor term: {t!r}")
 
-    return walk(m)
+    return fold(m, step)

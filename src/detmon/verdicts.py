@@ -15,9 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .semantics import StepEngine, binder_map
+from .semantics import StepEngine, binders_apart
 from .terms import (
-    END,
     NO,
     NO_MARKER,
     YES,
@@ -27,10 +26,10 @@ from .terms import (
     Sum,
     Term,
     TermError,
-    Var,
     Verdict,
     actions_in,
     eliminate_verdict_sums,
+    fold,
     mk_sum,
     subterms,
     verdicts_in,
@@ -81,18 +80,14 @@ def nu(m: Monitor, alphabet: frozenset[str]) -> Monitor:
         if isinstance(t, Sum) and any(isinstance(s, Verdict) for s in t.summands):
             raise TermError("verdict summand: run eliminate_verdict_sums first")
 
-    def go(t: Monitor) -> Monitor:
+    def step(t: Monitor, kids) -> Monitor:
         if isinstance(t, Verdict):
             return Prefix(NO_MARKER, Verdict(YES)) if t.value == NO else t
-        if isinstance(t, Prefix):
-            return Prefix(t.action, go(t.body))
         if isinstance(t, Sum):
-            return mk_sum([go(s) for s in t.summands])
-        if isinstance(t, Rec):
-            return Rec(t.var, go(t.body))
-        return t
+            return mk_sum(kids)
+        return t.rebuild(kids)
 
-    return go(m)
+    return fold(m, step)
 
 
 def nu_inverse(m: Monitor) -> Monitor:
@@ -100,29 +95,26 @@ def nu_inverse(m: Monitor) -> Monitor:
     other marker-carrying monitors it still folds each marker prefix
     back into ``no`` but may then produce verdict summands."""
 
-    def go(t: Monitor) -> Monitor:
-        if isinstance(t, Prefix):
-            if t.action == NO_MARKER:
-                if t.body != Verdict(YES):
-                    raise TermError(
-                        f"marker action {NO_MARKER!r} must be followed by yes"
-                    )
-                return Verdict(NO)
-            return Prefix(t.action, go(t.body))
+    def step(t: Monitor, kids) -> Monitor:
+        if isinstance(t, Prefix) and t.action == NO_MARKER:
+            if t.body != Verdict(YES):
+                raise TermError(
+                    f"marker action {NO_MARKER!r} must be followed by yes"
+                )
+            return Verdict(NO)
         if isinstance(t, Sum):
-            return mk_sum([go(s) for s in t.summands])
-        if isinstance(t, Rec):
-            return Rec(t.var, go(t.body))
-        return t
+            return mk_sum(kids)
+        return t.rebuild(kids)
 
-    return go(m)
+    return fold(m, step)
 
 
 def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
     """Can any single trace be flagged with both verdicts?  Breadth-first
     product walk of the monitor against itself; the witness, when there
     is one, is a shortest conflicted trace."""
-    engine = StepEngine(alphabet, "N", binder_map(m))
+    m, binders = binders_apart(m, alphabet)
+    engine = StepEngine(alphabet, "N", binders)
 
     def conflicted(pair: tuple[Term, Term]) -> bool:
         p, q = pair
@@ -155,26 +147,19 @@ def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
     return ConflictResult(False)
 
 
-def _fold_marker(t: Monitor) -> Monitor:
+def _fold_marker(t: Monitor, kids) -> Monitor:
     """Bottom-up: marker prefixes become ``no``, and anything that can
     immediately go ``no`` is ``no`` (sound because the source monitor is
     conflict-free and verdicts are irrevocable)."""
-    if isinstance(t, Prefix):
-        if t.action == NO_MARKER:
-            assert t.body == Verdict(YES)
-            return Verdict(NO)
-        return Prefix(t.action, _fold_marker(t.body))
+    no = Verdict(NO)
+    if isinstance(t, Prefix) and t.action == NO_MARKER:
+        assert t.body == Verdict(YES)
+        return no
     if isinstance(t, Sum):
-        folded = [_fold_marker(s) for s in t.summands]
-        if any(s == Verdict(NO) for s in folded):
-            return Verdict(NO)
-        return mk_sum(folded)
-    if isinstance(t, Rec):
-        body = _fold_marker(t.body)
-        if body == Verdict(NO):
-            return body
-        return Rec(t.var, body)
-    return t
+        return no if no in kids else mk_sum(kids)
+    if isinstance(t, Rec) and kids[0] == no:
+        return no
+    return t.rebuild(kids)
 
 
 def determinize_two_verdict(
@@ -199,6 +184,6 @@ def determinize_two_verdict(
     prepared = nu(eliminate_verdict_sums(m, alphabet), alphabet)
     extended = frozenset(alphabet | {NO_MARKER})
     det = determinize_monitor(prepared, extended, force=force)
-    out = _fold_marker(det)
+    out = fold(det, _fold_marker)
     assert NO_MARKER not in actions_in(out)
     return out

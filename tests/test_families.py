@@ -167,10 +167,12 @@ def test_un_monitor_matches_predicate_on_short_words():
 
 def test_un_deterministic_size_is_driven_by_the_lcm():
     # the minimal DFA tracks both counters modulo the parts, so it must
-    # have at least lcm-many states
-    n = 5
-    dfa = minimize_dfa(subset_construction(monitor_to_nfa(un_monitor(n), YES, ALPHABET_01E)))
-    assert len(dfa.states) >= landau_lcm(n)
+    # have at least lcm-many states; at n = 6 and 11 the partition is
+    # padded with a 1, which must not count
+    for n in range(2, 12):
+        nfa = monitor_to_nfa(un_monitor(n), YES, ALPHABET_01E)
+        dfa = minimize_dfa(subset_construction(nfa))
+        assert len(dfa.states) >= landau_lcm(n), n
 
 
 def test_chrobak_predicate():
@@ -180,6 +182,11 @@ def test_chrobak_predicate():
     assert not chrobak_predicate(5, "1", "1")
     assert not chrobak_predicate(5, "1", "10")
     assert not chrobak_predicate(5, "1", "")
+    # landau_partition(6) is (1, 2, 3): the padding 1 divides nothing
+    assert landau_partition(6) == (1, 2, 3)
+    assert not chrobak_predicate(6, "1", "1")
+    assert not chrobak_predicate(6, "1", "11111")
+    assert not un_predicate(6, "1e")
 
 
 def test_encode_binary():

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from detmon import cli
+from detmon.automata import language_equiv, monitor_to_nfa
 from detmon.equivalence import verdict_equiv
 from detmon.pipeline import BENCH_COLUMNS, bench, bench_csv, determinize_monitor
 from detmon.semantics import is_deterministic
-from detmon.syntax import parse_monitor, print_term
-from detmon.terms import END, NO, YES, TermError, Verdict, verdicts_in
+from detmon.syntax import parse_monitor, parse_monitor_file, print_term
+from detmon.terms import END, NO, YES, TermError, Verdict, verdicts_in, well_form
+from detmon.verdicts import is_conflicting
 
 from gen import random_monitor
 
@@ -214,3 +216,47 @@ def test_cli_bench_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 3
+
+
+REUSED = "alphabet: a, b\na.(rec x. a.x + b.no) + b.(rec x. b.x + a.no)\n"
+
+
+def test_reused_binder_names_are_renamed_apart():
+    m, alphabet = parse_monitor_file(REUSED)
+    apart = well_form(m, alphabet)
+    assert verdict_equiv(m, apart, alphabet)
+    assert not verdict_equiv(m, parse_monitor("a.b.no", AB), AB)
+    assert not is_conflicting(m, alphabet)
+    assert language_equiv(
+        monitor_to_nfa(m, NO, alphabet), monitor_to_nfa(apart, NO, alphabet)
+    )
+
+
+def test_cli_accepts_reused_binder_names(tmp_path, capsys):
+    m = _mfile(tmp_path, "m.mon", REUSED)
+    other = _mfile(tmp_path, "o.mon", "alphabet: a, b\na.b.no\n")
+    assert cli.main(["equiv", m, m]) == 0
+    assert cli.main(["equiv", m, other]) == 1
+    assert cli.main(["conflict", m]) == 0
+    assert cli.main(["to-nfa", m, "--verdict", "no"]) == 0
+    out = capsys.readouterr().out
+    assert "not equivalent: verdict no differs on b.a" in out
+    assert "conflict-free" in out and "type: nfa" in out
+
+
+def test_cli_trace_rejects_actions_outside_the_alphabet(tmp_path, capsys):
+    m = _mfile(tmp_path, "m.mon", "alphabet: a, b\na.yes + b.yes\n")
+    assert cli.main(["trace", "--monitor", m, "--trace", "c.c"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not in the declared alphabet" in captured.err
+
+
+def test_cli_bench_records_caps_per_row(capsys):
+    argv = ["bench", "--family", "mn", "--min-n", "9", "--max-n", "10", "--timeout", "2"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == ",".join(BENCH_COLUMNS)
+    assert [line.split(",")[1] for line in lines[1:]] == ["9", "10"]
+    for line in lines[1:]:
+        assert line.split(",")[-1] in ("cap", "timeout")

@@ -247,3 +247,32 @@ def test_process_prefix_and_recursion():
     assert s.label == TAU
     states = derive_process(p, ("a", "a"))
     assert states
+
+
+def test_runs_leave_no_terms_at_module_level():
+    import sys
+
+    from detmon.terms import Term
+
+    def term_holders():
+        found = []
+        for name, module in list(sys.modules.items()):
+            if name != "detmon" and not name.startswith("detmon."):
+                continue
+            for attr, value in vars(module).items():
+                if isinstance(value, dict):
+                    items = [*value.keys(), *value.values()]
+                elif isinstance(value, (list, tuple, set, frozenset)):
+                    items = list(value)
+                else:
+                    continue
+                for item in items:
+                    parts = item if isinstance(item, tuple) else (item,)
+                    if any(isinstance(p, Term.__args__) for p in parts):
+                        found.append(f"{name}.{attr}")
+                        break
+        return found
+
+    verdicts_on(me(), ("a", "a"), A)
+    verdicts_on(parse_monitor("rec y. a.y + b.yes", AB), ("a", "b"), AB)
+    assert term_holders() == []
