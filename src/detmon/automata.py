@@ -7,6 +7,11 @@ subset construction; minimization always returns the total minimal DFA,
 completing with a reject sink first, so equal languages give structurally
 identical automata after canonical renaming.
 
+Every operation runs on one indexed form, built once per automaton when
+it is constructed: states are dense integers, each symbol has one
+successor list, and acceptance is a bitmap.  State names are made only
+when an automaton is materialized.
+
 The way back — an automaton as a monitor — requires the automaton to be
 *irrevocable* (acceptance can never be escaped), mirroring how a verdict
 can never be retracted.  All accepting states then collapse into a single
@@ -17,8 +22,11 @@ and can be overridden.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Union
 
 from .semantics import CapExceeded, StepEngine, binders_apart
@@ -39,6 +47,55 @@ from .terms import (
 )
 
 
+class _Ix:
+    """The indexed form of an automaton.
+
+    State i is ``names[i]``, numbered in sorted name order, so sorting
+    ids sorts names; ``succ[k][i]`` is the sorted tuple of i's successors
+    on ``symbols[k]``, symbols sorted too; ``acc[i]`` is 1 when i accepts.
+    """
+
+    __slots__ = ("names", "ids", "symbols", "column", "succ", "initial", "acc")
+
+    def __init__(self, names: list[str], symbols: tuple[str, ...]) -> None:
+        self.names = names
+        self.ids = {q: i for i, q in enumerate(names)}
+        self.symbols = symbols
+        self.column = {y: k for k, y in enumerate(symbols)}
+        self.succ: list[list[tuple[int, ...]]] = [[()] * len(names) for _ in symbols]
+        self.initial = 0
+        self.acc = bytearray(len(names))
+
+
+def _index(a: Automaton, deterministic: bool) -> _Ix:
+    """Check an automaton's fields and build its indexed form."""
+    if a.initial not in a.states:
+        raise TermError(f"initial state {a.initial!r} is not a state")
+    if not a.accepting <= a.states:
+        raise TermError("accepting states must be states")
+    ix = _Ix(sorted(a.states), tuple(sorted(a.alphabet)))
+    ids, column, succ = ix.ids, ix.column, ix.succ
+    for src, sym, dst in a.transitions:
+        try:
+            i, j, row = ids[src], ids[dst], succ[column[sym]]
+        except KeyError:
+            if sym in column:
+                raise TermError(f"transition touches unknown state: {src}->{dst}") from None
+            raise TermError(f"transition label {sym!r} is not in the alphabet") from None
+        if row[i] and deterministic:
+            raise TermError(f"nondeterministic on ({src!r}, {sym!r})")
+        row[i] += (j,)
+    if not deterministic:
+        for row in succ:
+            for i, targets in enumerate(row):
+                if len(targets) > 1:
+                    row[i] = tuple(sorted(targets))
+    ix.initial = ids[a.initial]
+    for q in a.accepting:
+        ix.acc[ids[q]] = 1
+    return ix
+
+
 @dataclass(frozen=True)
 class Nfa:
     states: frozenset[str]
@@ -48,18 +105,14 @@ class Nfa:
     accepting: frozenset[str]
 
     def __post_init__(self) -> None:
-        if self.initial not in self.states:
-            raise TermError(f"initial state {self.initial!r} is not a state")
-        if not self.accepting <= self.states:
-            raise TermError("accepting states must be states")
-        for src, sym, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise TermError(f"transition touches unknown state: {src}->{dst}")
-            if sym not in self.alphabet:
-                raise TermError(f"transition label {sym!r} is not in the alphabet")
+        object.__setattr__(self, "_ix", _index(self, deterministic=False))
 
     def succ(self, state: str, symbol: str) -> list[str]:
-        return sorted(d for s, y, d in self.transitions if s == state and y == symbol)
+        ix = self._ix
+        i, k = ix.ids.get(state), ix.column.get(symbol)
+        if i is None or k is None:
+            return []
+        return [ix.names[j] for j in ix.succ[k][i]]
 
 
 @dataclass(frozen=True)
@@ -74,19 +127,7 @@ class Dfa:
     accepting: frozenset[str]
 
     def __post_init__(self) -> None:
-        if self.initial not in self.states:
-            raise TermError(f"initial state {self.initial!r} is not a state")
-        if not self.accepting <= self.states:
-            raise TermError("accepting states must be states")
-        seen: set[tuple[str, str]] = set()
-        for src, sym, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise TermError(f"transition touches unknown state: {src}->{dst}")
-            if sym not in self.alphabet:
-                raise TermError(f"transition label {sym!r} is not in the alphabet")
-            if (src, sym) in seen:
-                raise TermError(f"nondeterministic on ({src!r}, {sym!r})")
-            seen.add((src, sym))
+        object.__setattr__(self, "_ix", _index(self, deterministic=True))
 
     def delta(self) -> dict[tuple[str, str], str]:
         return {(s, y): d for s, y, d in self.transitions}
@@ -106,9 +147,7 @@ def as_nfa(a: Automaton) -> Nfa:
 # ---------------------------------------------------------------------------
 
 
-def _monitor_nfa(
-    m: Monitor, alphabet: frozenset[str], accept_verdict: str
-) -> tuple[Nfa, dict[str, Term]]:
+def _monitor_nfa(m: Monitor, alphabet: frozenset[str], accept_verdict: str) -> Nfa:
     m, binders = binders_apart(m, alphabet)
     engine = StepEngine(alphabet, "N", binders)
     target = Verdict(accept_verdict)
@@ -136,8 +175,7 @@ def _monitor_nfa(
     accepting = frozenset(
         ids[t] for t in order if target in engine.tau_closure(t)
     )
-    nfa = Nfa(frozenset(ids.values()), alphabet, frozenset(transitions), ids[m], accepting)
-    return nfa, {ids[t]: t for t in order}
+    return Nfa(frozenset(ids.values()), alphabet, frozenset(transitions), ids[m], accepting)
 
 
 def monitor_to_nfa(
@@ -155,8 +193,7 @@ def monitor_to_nfa(
         raise TermError(
             f"monitor carries the {other!r} verdict; not a {accept_verdict}-monitor"
         )
-    nfa, _ = _monitor_nfa(m, alphabet, accept_verdict)
-    return nfa
+    return _monitor_nfa(m, alphabet, accept_verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -165,48 +202,56 @@ def monitor_to_nfa(
 
 
 def member(a: Automaton, word: Iterable[str]) -> bool:
-    nfa = as_nfa(a)
-    frontier = {nfa.initial}
+    ix = a._ix
+    frontier = {ix.initial}
     for sym in word:
-        frontier = {d for s, y, d in nfa.transitions if s in frontier and y == sym}
+        k = ix.column.get(sym)
+        if k is None:
+            return False
+        row = ix.succ[k]
+        frontier = {j for i in frontier for j in row[i]}
         if not frontier:
             return False
-    return bool(frontier & nfa.accepting)
+    return any(ix.acc[i] for i in frontier)
 
 
 def is_empty(a: Automaton) -> bool:
-    nfa = as_nfa(a)
-    seen = {nfa.initial}
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        if q in nfa.accepting:
+    ix = a._ix
+    seen = bytearray(len(ix.acc))
+    seen[ix.initial] = 1
+    stack = [ix.initial]
+    while stack:
+        i = stack.pop()
+        if ix.acc[i]:
             return False
-        for s, _, d in nfa.transitions:
-            if s == q and d not in seen:
-                seen.add(d)
-                queue.append(d)
+        for row in ix.succ:
+            for j in row[i]:
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
     return True
+
+
+def _escapes(ix: _Ix) -> list[tuple[int, int]]:
+    """The (accepting state, symbol) pairs without an accepting successor."""
+    acc = ix.acc
+    return [
+        (i, k)
+        for i in range(len(acc)) if acc[i]
+        for k, row in enumerate(ix.succ) if not any(acc[j] for j in row[i])
+    ]
 
 
 def is_irrevocable(a: Automaton) -> bool:
     """Once accepting, always able to stay accepting: every accepting
     state has, for every symbol, at least one accepting successor."""
-    nfa = as_nfa(a)
-    for q in nfa.accepting:
-        for sym in nfa.alphabet:
-            if not any(d in nfa.accepting for d in nfa.succ(q, sym)):
-                return False
-    return True
+    return not _escapes(a._ix)
 
 
 def irrevocable_closure(a: Nfa) -> Nfa:
     """Add accepting self-loops wherever acceptance could be escaped."""
-    extra: set[tuple[str, str, str]] = set()
-    for q in a.accepting:
-        for sym in a.alphabet:
-            if not any(d in a.accepting for d in a.succ(q, sym)):
-                extra.add((q, sym, q))
+    ix = a._ix
+    extra = {(ix.names[i], ix.symbols[k], ix.names[i]) for i, k in _escapes(ix)}
     return Nfa(a.states, a.alphabet, a.transitions | extra, a.initial, a.accepting)
 
 
@@ -214,41 +259,157 @@ def irrevocable_closure(a: Nfa) -> Nfa:
 # Subset construction and minimization
 # ---------------------------------------------------------------------------
 
+# A deterministic table: table[k][i] is i's successor on the k-th symbol,
+# or -1 where the edge is missing.
+_Table = list[list[int]]
+
+
+def _determinize(
+    ix: _Ix, symbols: tuple[str, ...]
+) -> tuple[list[frozenset[int]], _Table, bytearray]:
+    """Reachable-subset construction over `symbols`, which may hold
+    symbols the automaton lacks: the subsets in the order found, the
+    start first; their table, the empty subset left out as -1; and which
+    subsets accept."""
+    rows = []
+    for y in symbols:
+        k = ix.column.get(y)
+        rows.append(None if k is None else [frozenset(t) for t in ix.succ[k]])
+    start = frozenset((ix.initial,))
+    number = {start: 0}
+    subsets = [start]
+    table: _Table = [[] for _ in symbols]
+    for subset in subsets:
+        for row, out in zip(rows, table):
+            if row is None:
+                out.append(-1)
+                continue
+            if len(subset) == 1:
+                (q,) = subset
+                target = row[q]
+            else:
+                target = frozenset().union(*[row[q] for q in subset])
+            if not target:
+                out.append(-1)
+                continue
+            t = number.get(target)
+            if t is None:
+                t = number[target] = len(subsets)
+                subsets.append(target)
+            out.append(t)
+    acc = ix.acc
+    return subsets, table, bytearray(any(acc[q] for q in s) for s in subsets)
+
+
+def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytearray]:
+    """The total minimal DFA of a table's language, numbered breadth-first
+    from the initial state (0) with symbols in order.
+
+    Unreachable states are dropped and a reject sink closes the missing
+    edges; Hopcroft's refinement then splits the accepting/rejecting
+    partition.  Each block popped from the worklist splits every block
+    by its predecessors on each symbol; of a block that splits, only the
+    smaller half joins the worklist unless the block was waiting there
+    already, so a state lies in O(log n) splitters: O(k n log n) for k
+    symbols and n states.
+    """
+    number = [-1] * len(acc)
+    number[initial] = 0
+    reach = [initial]
+    for q in reach:
+        for out in table:
+            t = out[q]
+            if t >= 0 and number[t] < 0:
+                number[t] = len(reach)
+                reach.append(t)
+    n = len(reach)
+    delta = [[out[q] for q in reach] for out in table]
+    final = [acc[q] for q in reach]
+    if any(-1 in row for row in delta):
+        delta = [[number[t] if t >= 0 else n for t in row] + [n] for row in delta]
+        final.append(0)
+        n += 1
+    else:
+        delta = [[number[t] for t in row] for row in delta]
+
+    pred: list[list[list[int]]] = []
+    for row in delta:
+        into: list[list[int]] = [[] for _ in range(n)]
+        for q, t in enumerate(row):
+            into[t].append(q)
+        pred.append(into)
+
+    block_of = [0 if f else 1 for f in final]
+    accepting = {q for q in range(n) if final[q]}
+    blocks = [accepting, set(range(n)) - accepting]
+    if not blocks[0] or not blocks[1]:
+        work: set[int] = set()
+    else:
+        work = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
+    while work:
+        splitter = list(blocks[work.pop()])
+        for into in pred:
+            touched: dict[int, list[int]] = {}
+            for q in splitter:
+                for p in into[q]:
+                    b = block_of[p]
+                    if b in touched:
+                        touched[b].append(p)
+                    else:
+                        touched[b] = [p]
+            for b, inside in touched.items():
+                block = blocks[b]
+                if len(inside) == len(block):
+                    continue
+                if 2 * len(inside) <= len(block):
+                    moved = set(inside)
+                else:
+                    moved = block.difference(inside)
+                block -= moved
+                nb = len(blocks)
+                blocks.append(moved)
+                for p in moved:
+                    block_of[p] = nb
+                work.add(nb)
+
+    canon = [-1] * len(blocks)
+    canon[block_of[0]] = 0
+    reps = [0]
+    minimal: _Table = [[] for _ in delta]
+    for q in reps:
+        for row, out in zip(delta, minimal):
+            t = row[q]
+            j = canon[block_of[t]]
+            if j < 0:
+                j = canon[block_of[t]] = len(reps)
+                reps.append(t)
+            out.append(j)
+    return minimal, bytearray(final[q] for q in reps)
+
+
+def _dfa(
+    names: list[str], alphabet: frozenset[str], symbols: tuple[str, ...],
+    table: _Table, acc: bytearray,
+) -> Dfa:
+    """Materialize a table whose state i is called names[i], 0 initial."""
+    transitions = frozenset(
+        (names[i], y, names[j])
+        for y, out in zip(symbols, table)
+        for i, j in enumerate(out)
+        if j >= 0
+    )
+    accepting = frozenset(names[i] for i, f in enumerate(acc) if f)
+    return Dfa(frozenset(names), alphabet, transitions, names[0], accepting)
+
 
 def subset_construction(a: Nfa) -> Dfa:
     """Reachable-subset determinization.  The empty subset is left out,
-    so the result may be partial."""
-    succ: dict[tuple[str, str], set[str]] = {}
-    for s, y, d in a.transitions:
-        succ.setdefault((s, y), set()).add(d)
-
-    def name(Q: frozenset[str]) -> str:
-        return "+".join(sorted(Q))
-
-    start = frozenset({a.initial})
-    names = {start: name(start)}
-    order = [start]
-    transitions: set[tuple[str, str, str]] = set()
-    i = 0
-    while i < len(order):
-        Q = order[i]
-        for sym in sorted(a.alphabet):
-            T = set()
-            for q in Q:
-                T |= succ.get((q, sym), set())
-            if not T:
-                continue
-            Tf = frozenset(T)
-            if Tf not in names:
-                names[Tf] = name(Tf)
-                order.append(Tf)
-            transitions.add((names[Q], sym, names[Tf]))
-        i += 1
-    accepting = frozenset(names[Q] for Q in order if Q & a.accepting)
-    return Dfa(
-        frozenset(names.values()), a.alphabet, frozenset(transitions),
-        names[start], accepting,
-    )
+    so the result may be partial.  A subset state is named by its
+    members' names in sorted order, joined with '+'."""
+    ix = a._ix
+    subsets, table, acc = _determinize(ix, ix.symbols)
+    names = ["+".join([ix.names[q] for q in sorted(s)]) for s in subsets]
+    return _dfa(names, a.alphabet, ix.symbols, table, acc)
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
@@ -259,140 +420,41 @@ def minimize_dfa(d: Dfa) -> Dfa:
     refinement.  Canonical naming (breadth-first, symbols in sorted
     order) makes equal-language inputs come out structurally identical.
     """
-    delta = d.delta()
-    symbols = tuple(sorted(d.alphabet))
+    ix = d._ix
+    table = [[t[0] if t else -1 for t in row] for row in ix.succ]
+    out, acc = _minimal(table, ix.acc, ix.initial)
+    names = [f"s{i}" for i in range(len(acc))]
+    return _dfa(names, d.alphabet, ix.symbols, out, acc)
 
-    reachable: list[str] = [d.initial]
-    seen = {d.initial}
-    i = 0
-    while i < len(reachable):
-        q = reachable[i]
-        for sym in symbols:
-            t = delta.get((q, sym))
-            if t is not None and t not in seen:
-                seen.add(t)
-                reachable.append(t)
-        i += 1
 
-    states = list(reachable)
-    sink = None
-    if any(delta.get((q, sym)) is None for q in states for sym in symbols):
-        sink = "__dead__"
-        while sink in seen:
-            sink += "_"
-        states.append(sink)
-        for q in states:
-            for sym in symbols:
-                delta.setdefault((q, sym), sink)
-
-    accepting = frozenset(q for q in states if q in d.accepting)
-
-    # Hopcroft-style refinement.
-    pred: dict[tuple[str, str], set[str]] = {}
-    for q in states:
-        for sym in symbols:
-            pred.setdefault((delta[(q, sym)], sym), set()).add(q)
-
-    non_accepting = frozenset(states) - accepting
-    partition: list[frozenset[str]] = [p for p in (accepting, non_accepting) if p]
-    worklist: list[frozenset[str]] = (
-        [min(partition, key=len)] if len(partition) == 2 else list(partition)
-    )
-    while worklist:
-        A = worklist.pop()
-        for sym in symbols:
-            X = set()
-            for q in A:
-                X |= pred.get((q, sym), set())
-            if not X:
-                continue
-            new_partition: list[frozenset[str]] = []
-            for B in partition:
-                inter = B & X
-                diff = B - X
-                if inter and diff:
-                    new_partition.extend((frozenset(inter), frozenset(diff)))
-                    if B in worklist:
-                        worklist.remove(B)
-                        worklist.extend((frozenset(inter), frozenset(diff)))
-                    else:
-                        worklist.append(min((frozenset(inter), frozenset(diff)), key=len))
-                else:
-                    new_partition.append(B)
-            partition = new_partition
-
-    cls: dict[str, frozenset[str]] = {}
-    for block in partition:
-        for q in block:
-            cls[q] = block
-
-    # Canonical breadth-first names.
-    names: dict[frozenset[str], str] = {}
-    order: list[frozenset[str]] = []
-
-    def visit(block: frozenset[str]) -> str:
-        if block not in names:
-            names[block] = f"s{len(order)}"
-            order.append(block)
-        return names[block]
-
-    start = cls[d.initial]
-    visit(start)
-    queue = deque([start])
-    transitions: set[tuple[str, str, str]] = set()
-    done: set[frozenset[str]] = {start}
-    while queue:
-        block = queue.popleft()
-        rep = next(iter(block))
-        for sym in symbols:
-            target = cls[delta[(rep, sym)]]
-            if target not in done:
-                done.add(target)
-                visit(target)
-                queue.append(target)
-            transitions.add((names[block], sym, names[target]))
-    return Dfa(
-        frozenset(names.values()),
-        d.alphabet,
-        frozenset(transitions),
-        names[start],
-        frozenset(names[b] for b in order if b & accepting),
-    )
+def _canonical(a: Automaton, symbols: tuple[str, ...]) -> tuple[_Table, bytearray]:
+    """The canonical minimal table of a's language over `symbols`."""
+    _, table, acc = _determinize(a._ix, symbols)
+    return _minimal(table, acc, 0)
 
 
 def language_equiv(a: Automaton, b: Automaton) -> bool:
     """Exact language equality, by canonical minimal DFAs."""
-    alphabet = a.alphabet | b.alphabet
-    da = minimize_dfa(subset_construction(_widen(as_nfa(a), alphabet)))
-    db = minimize_dfa(subset_construction(_widen(as_nfa(b), alphabet)))
-    return da == db
-
-
-def _widen(a: Nfa, alphabet: frozenset[str]) -> Nfa:
-    if a.alphabet == alphabet:
-        return a
-    return Nfa(a.states, alphabet, a.transitions, a.initial, a.accepting)
+    symbols = tuple(sorted(a.alphabet | b.alphabet))
+    return _canonical(a, symbols) == _canonical(b, symbols)
 
 
 def distinguishing_word(a: Automaton, b: Automaton) -> tuple[str, ...] | None:
     """A shortest word accepted by exactly one of the two automata, or
     None when their languages coincide."""
-    alphabet = a.alphabet | b.alphabet
-    da = minimize_dfa(subset_construction(_widen(as_nfa(a), alphabet)))
-    db = minimize_dfa(subset_construction(_widen(as_nfa(b), alphabet)))
-    ta, tb = da.delta(), db.delta()
-    start = (da.initial, db.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[str, str], tuple[str, ...]]] = deque([(start, ())])
+    symbols = tuple(sorted(a.alphabet | b.alphabet))
+    (ta, fa), (tb, fb) = _canonical(a, symbols), _canonical(b, symbols)
+    seen = {(0, 0)}
+    queue: deque[tuple[int, int, tuple[str, ...]]] = deque([(0, 0, ())])
     while queue:
-        (qa, qb), word = queue.popleft()
-        if (qa in da.accepting) != (qb in db.accepting):
+        p, q, word = queue.popleft()
+        if fa[p] != fb[q]:
             return word
-        for sym in sorted(alphabet):
-            nxt = (ta[(qa, sym)], tb[(qb, sym)])
+        for k, sym in enumerate(symbols):
+            nxt = (ta[k][p], tb[k][q])
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, word + (sym,)))
+                queue.append((*nxt, word + (sym,)))
     return None
 
 
@@ -405,105 +467,97 @@ DFA_MONITOR_CAP = 12
 _MAX_PATHS = 1_000_000
 
 
-def _sanitize(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
-def _paths_monitor(a: Nfa) -> Monitor:
+def _paths_monitor(ix: _Ix) -> Monitor:
     """Loop-free-path unfolding of an irrevocable automaton whose
-    accepting states were already merged into one absorbing state."""
-    assert len(a.accepting) <= 1
-    if a.initial in a.accepting:
-        return Verdict(YES)
-    goal = next(iter(a.accepting), None)
-    if goal is None:
-        return Verdict(END)  # empty language: never any verdict
+    accepting states were already merged into one absorbing state, not
+    the initial one.  Binders are named x0, x1, ... in preorder."""
+    (goal,) = [i for i, f in enumerate(ix.acc) if f]
 
     # Keep only states that can still reach acceptance.
-    rev: dict[str, set[str]] = {}
-    for s, _, t in a.transitions:
-        rev.setdefault(t, set()).add(s)
-    live = {goal}
-    queue = deque([goal])
-    while queue:
-        q = queue.popleft()
-        for p in rev.get(q, ()):
-            if p not in live:
-                live.add(p)
-                queue.append(p)
-    if a.initial not in live:
+    rev: list[list[int]] = [[] for _ in ix.names]
+    for row in ix.succ:
+        for s, targets in enumerate(row):
+            for t in targets:
+                rev[t].append(s)
+    live = bytearray(len(ix.names))
+    live[goal] = 1
+    stack = [goal]
+    while stack:
+        for p in rev[stack.pop()]:
+            if not live[p]:
+                live[p] = 1
+                stack.append(p)
+    if not live[ix.initial]:
         return Verdict(END)
 
-    succ: dict[str, list[tuple[str, str]]] = {}
-    for s, y, t in a.transitions:
-        if s in live and (t in live or t == goal):
-            succ.setdefault(s, []).append((y, t))
-    for s in succ:
-        succ[s].sort()
+    # Each state's edges into live states, by symbol, then by target name.
+    edges = [
+        [(y, t) for y, row in zip(ix.symbols, ix.succ) for t in row[s] if live[t]]
+        if live[s] else []
+        for s in range(len(ix.names))
+    ]
 
-    used_names: set[str] = set()
-    path_var: dict[tuple[str, ...], str] = {}
-
-    def var_of(path: tuple[str, ...]) -> str:
-        if path not in path_var:
-            cand = "x_" + "_".join(_sanitize(q) for q in path)
-            while cand in used_names:
-                cand += "_"
-            used_names.add(cand)
-            path_var[path] = cand
-        return path_var[path]
-
-    def targets(path: tuple[str, ...]) -> list[str]:
+    def targets(path: tuple[int, ...]) -> list[int]:
         # One extension per target, so parallel edges to it share a single
         # Rec node (its variable stays singly bound).
-        return sorted({t for _, t in succ.get(path[-1], ()) if t != goal and t not in path})
+        return sorted({t for _, t in edges[path[-1]] if t != goal and t not in path})
 
     calls = 0
+    fresh = count()
 
-    def extensions(path: tuple[str, ...]) -> list[tuple[str, ...]]:
+    def extensions(path: tuple[int, ...]) -> list[tuple[int, ...]]:
         nonlocal calls
         calls += 1
         if calls > _MAX_PATHS:
             raise CapExceeded("path unfolding grew past the internal limit")
         return [path + (t,) for t in targets(path)]
 
-    def build(path: tuple[str, ...], kids) -> Monitor:
+    def enter(path: tuple[int, ...], binders: tuple[str, ...]) -> tuple[str, ...]:
+        return binders + (f"x{next(fresh)}",)
+
+    def build(path: tuple[int, ...], kids, binders: tuple[str, ...]) -> Monitor:
         built = dict(zip(targets(path), kids))
         summands: list[Monitor] = []
-        for sym, t in succ.get(path[-1], ()):
+        for sym, t in edges[path[-1]]:
             if t == goal:
                 summands.append(Prefix(sym, Verdict(YES)))
-            elif t in path:
-                back = path[: path.index(t) + 1]
-                summands.append(Prefix(sym, Var(var_of(back))))
-            else:
+            elif t in built:
                 summands.append(Prefix(sym, built[t]))
+            else:
+                summands.append(Prefix(sym, Var(binders[path.index(t)])))
         if not summands:
             return Verdict(END)
-        return Rec(var_of(path), mk_sum(summands))
+        return Rec(binders[-1], mk_sum(summands))
 
-    return fold((a.initial,), build, children=extensions)
+    # Carrying the binder names down, fold keeps no finished path alive.
+    return fold((ix.initial,), build, enter, (), children=extensions)
 
 
-def _merge_accepting(a: Nfa) -> Nfa:
-    """Collapse all accepting states into one absorbing state.  Language
-    is preserved exactly when the automaton is irrevocable."""
+def _merge_accepting(ix: _Ix) -> _Ix:
+    """Collapse all accepting states into one absorbing state, named
+    ``Y`` (with underscores added until fresh).  Language is preserved
+    exactly when the automaton is irrevocable."""
     goal = "Y"
-    while goal in a.states:
+    while goal in ix.ids:
         goal += "_"
-    transitions: set[tuple[str, str, str]] = set()
-    for s, y, t in a.transitions:
-        if s in a.accepting:
-            continue
-        transitions.add((s, y, goal if t in a.accepting else t))
-    for sym in a.alphabet:
-        transitions.add((goal, sym, goal))
-    states = (a.states - a.accepting) | {goal}
-    initial = goal if a.initial in a.accepting else a.initial
-    return Nfa(frozenset(states), a.alphabet, frozenset(transitions), initial, frozenset({goal}))
+    keep = [i for i, f in enumerate(ix.acc) if not f]
+    names = [ix.names[i] for i in keep]
+    g = bisect_left(names, goal)
+    names.insert(g, goal)
+    new = [g] * len(ix.acc)
+    for pos, i in enumerate(keep):
+        new[i] = pos + (pos >= g)
+    merged = _Ix(names, ix.symbols)
+    for row, out in zip(ix.succ, merged.succ):
+        for i in keep:
+            out[new[i]] = tuple(sorted({new[j] for j in row[i]}))
+        out[g] = (g,)
+    merged.initial = new[ix.initial]
+    merged.acc[g] = 1
+    return merged
 
 
-def nfa_to_monitor(a: Nfa, force: bool = False) -> Monitor:
+def nfa_to_monitor(a: Automaton, force: bool = False) -> Monitor:
     """An acceptance monitor recognising the language of an irrevocable
     NFA.  Exponential in the worst case; refuses automata above
     NFA_MONITOR_CAP states unless forced."""
@@ -518,7 +572,7 @@ def nfa_to_monitor(a: Nfa, force: bool = False) -> Monitor:
         return Verdict(END)
     if a.initial in a.accepting:
         return Verdict(YES)
-    return _paths_monitor(_merge_accepting(a))
+    return _paths_monitor(_merge_accepting(a._ix))
 
 
 def dfa_to_monitor(d: Dfa, force: bool = False) -> Monitor:
@@ -528,12 +582,14 @@ def dfa_to_monitor(d: Dfa, force: bool = False) -> Monitor:
             f"{len(d.states)} states exceeds the cap of {DFA_MONITOR_CAP}; "
             "pass force=True to unfold anyway"
         )
-    return nfa_to_monitor(as_nfa(d), force=True)
+    return nfa_to_monitor(d, force=True)
 
 
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
+
+_TRANSITION = re.compile(r"^(\S+)\s*-(\S+?)->\s*(\S+)$")
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -551,6 +607,8 @@ def parse_automaton(text: str) -> Automaton:
             if line.startswith(key + ":"):
                 value = line[len(key) + 1:].strip()
                 if key == "type":
+                    if value not in ("nfa", "dfa"):
+                        raise TermError(f"automaton type must be nfa or dfa, not {value!r}")
                     kind = value
                 elif key == "initial":
                     initial = value
@@ -561,9 +619,7 @@ def parse_automaton(text: str) -> Automaton:
                     ].extend(items)
                 break
         else:
-            import re as _re
-
-            m = _re.match(r"^(\S+)\s*-(\S+?)->\s*(\S+)$", line)
+            m = _TRANSITION.match(line)
             if m is None:
                 raise TermError(f"cannot parse automaton line: {raw!r}")
             transitions.append((m.group(1), m.group(2), m.group(3)))

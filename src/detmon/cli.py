@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and, for the checking commands, "property
 holds"); 1 property does not hold (inequivalent, conflicting);
-2 malformed input; 3 a size cap or timeout was hit.
+2 malformed input; 3 a resource limit was hit (a size cap, a timeout,
+memory); 4 internal error (Python's recursion limit was hit).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -240,6 +242,12 @@ def main(argv: list[str] | None = None) -> int:
     except semantics.CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (TermError, ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

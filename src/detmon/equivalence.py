@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .automata import _monitor_nfa, distinguishing_word, language_equiv
 from .semantics import StepEngine, binder_map, verdicts_on
-from .terms import END, NO, SKIP, YES, Monitor, Prefix, Term, Verdict, fold
+from .terms import END, NO, SKIP, YES, Monitor, Prefix, Term, Verdict, fold, verdicts_in
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,16 @@ def verdict_equiv(
 
     The `end` verdict marks deliberate abdication and is usually not an
     observable outcome worth separating on; pass include_end=True to
-    compare it as well.
+    compare it as well.  A verdict that neither monitor carries is
+    flagged on no trace by either, so it is not compared.
     """
     verdicts = (YES, NO, END) if include_end else (YES, NO)
+    present = verdicts_in(m1) | verdicts_in(m2)
     for v in verdicts:
-        n1, _ = _monitor_nfa(m1, alphabet, v)
-        n2, _ = _monitor_nfa(m2, alphabet, v)
+        if v not in present:
+            continue
+        n1 = _monitor_nfa(m1, alphabet, v)
+        n2 = _monitor_nfa(m2, alphabet, v)
         if not language_equiv(n1, n2):
             return EquivResult(False, distinguishing_word(n1, n2), v)
     return EquivResult(True)

@@ -91,9 +91,11 @@ BENCH_COLUMNS = (
     "n",
     "monitor_size",
     "nfa_states",
+    "subset_states",
     "min_dfa_states",
     "det_monitor_size",
     "t_nfa",
+    "t_subset",
     "t_min",
     "t_unfold",
     "status",
@@ -119,7 +121,9 @@ def _with_timeout(seconds: float, fn: Callable[[], object]) -> object:
         raise _StageTimeout
 
     old = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # The alarm repeats: a raise that lands in a callback which swallows
+    # exceptions (a garbage-collector callback) must not end the limit.
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.1)
     try:
         return fn()
     finally:
@@ -155,9 +159,12 @@ def bench(
             row["nfa_states"] = len(nfa.states)
 
             t0 = time.perf_counter()
-            dfa = _with_timeout(
-                timeout, lambda: minimize_dfa(subset_construction(nfa))
-            )
+            subsets = _with_timeout(timeout, lambda: subset_construction(nfa))
+            row["t_subset"] = round(time.perf_counter() - t0, 4)
+            row["subset_states"] = len(subsets.states)
+
+            t0 = time.perf_counter()
+            dfa = _with_timeout(timeout, lambda: minimize_dfa(subsets))
             row["t_min"] = round(time.perf_counter() - t0, 4)
             row["min_dfa_states"] = len(dfa.states)
 

@@ -169,6 +169,35 @@ def test_minimize_matches_table_filling_oracle(seed):
     assert len(minimize_dfa(dfa).states) == _brute_minimal_states(dfa)
 
 
+ABC = frozenset({"a", "b", "c"})
+
+
+@st.composite
+def partial_dfas(draw) -> Dfa:
+    """Up to 12 states over 3 symbols, any edge possibly missing, any
+    initial state (so others may be unreachable), any accepting set."""
+    n = draw(st.integers(1, 12))
+    states = [f"q{i}" for i in range(n)]
+    transitions = set()
+    for s in states:
+        for sym in sorted(ABC):
+            t = draw(st.none() | st.integers(0, n - 1))
+            if t is not None:
+                transitions.add((s, sym, states[t]))
+    accepting = draw(st.sets(st.sampled_from(states)))
+    initial = draw(st.sampled_from(states))
+    return Dfa(frozenset(states), ABC, frozenset(transitions), initial, frozenset(accepting))
+
+
+@settings(deadline=None, max_examples=150)
+@given(partial_dfas())
+def test_minimize_partial_dfas_matches_table_filling_oracle(d):
+    m = minimize_dfa(d)
+    assert len(m.states) == _brute_minimal_states(d)
+    for w in all_words(ABC, 4):
+        assert member(m, w) == member(d, w), w
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 5_000))
 def test_minimize_preserves_the_language(seed):

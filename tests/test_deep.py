@@ -173,13 +173,12 @@ def test_cli_on_a_2000_deep_chain(tmp_path, capsys):
     path.write_text("alphabet: a\n" + "a." * 2000 + "yes\n")
     mon = str(path)
     assert cli.main(["determinize", mon, "--force"]) == 0
-    # One binder per state on the path through the minimal DFA s0, s1, ...
-    names = ["x"]
-    for i in range(2000):
-        names.append(f"{names[-1]}_s{i}")
-    body = "".join(f"rec {n}. a.(" for n in names[1:-1])
-    expected = f"rec {names[-1]}. a.yes".join([body, ")" * 1999])
-    assert capsys.readouterr().out == f"alphabet: a\n{expected}\n"
+    # One binder per state on the path through the minimal DFA, in preorder
+    body = "".join(f"rec x{i}. a.(" for i in range(1999))
+    expected = "rec x1999. a.yes".join([body, ")" * 1999])
+    out = capsys.readouterr().out
+    assert out == f"alphabet: a\n{expected}\n"
+    assert len(out) < 200_000
     assert cli.main(["trace", "--monitor", mon, "--trace", ".".join("a" * 2000)]) == 0
     assert capsys.readouterr().out == "yes\n"
     assert cli.main(["conflict", mon]) == 0

@@ -15,7 +15,7 @@ from detmon.equivalence import (
 )
 from detmon.semantics import verdicts_on
 from detmon.syntax import parse_monitor
-from detmon.terms import END, NO, YES, Verdict, height, size
+from detmon.terms import END, NO, YES, Prefix, Verdict, height, mk_sum, size
 
 from gen import random_monitor
 
@@ -59,6 +59,15 @@ def test_end_is_ignored_unless_asked_for():
     assert not r
     assert r.witness == ()
     assert r.verdict == END
+
+
+def test_a_verdict_carried_by_one_side_only_is_still_compared():
+    # `c` is outside the alphabet, so this no is carried but never flagged
+    unreachable = mk_sum([Prefix("a", Verdict(YES)), Prefix("c", Verdict(NO))])
+    assert verdict_equiv(unreachable, parse_monitor("a.yes", AB), AB)
+    r = verdict_equiv(parse_monitor("a.yes + b.no", AB), parse_monitor("a.yes", AB), AB)
+    assert not r
+    assert (r.witness, r.verdict) == (("b",), NO)
 
 
 def test_result_is_truthy_on_success():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -63,6 +64,14 @@ def test_mn_nfa_size_and_membership():
 def test_mn_dfa_is_exponential():
     for n in range(1, 7):
         assert len(mn_dfa(n).states) == 2**n + 2
+
+
+def test_mn_dfa_13_is_built_in_seconds():
+    # Subset construction and minimization stay near-linear in the
+    # 2^n + 2 states the paper proves necessary.
+    start = time.perf_counter()
+    assert len(mn_dfa(13).states) == 8194
+    assert time.perf_counter() - start < 5.0
 
 
 def test_mn_monitor_smallest_instance():

@@ -43,7 +43,7 @@ def test_running_example_both_routes():
     m_e = parse_monitor("rec x. a.(a.no + x)", A)
     via_automata = determinize_monitor(m_e, A, method="automata")
     via_equations = determinize_monitor(m_e, A, method="equations")
-    assert print_term(via_automata) == "rec x_s0. a.(rec x_s0_s1. a.no)"
+    assert print_term(via_automata) == "rec x0. a.(rec x1. a.no)"
     assert print_term(via_equations) == "a.a.no"
     for out in (via_automata, via_equations):
         assert is_deterministic(out)
@@ -86,6 +86,7 @@ def test_bench_rows_have_the_documented_shape():
     for row in rows:
         assert tuple(row.keys()) == BENCH_COLUMNS
         assert row["status"] == "ok"
+    assert [r["subset_states"] for r in rows] == [4, 6, 10]
     assert [r["min_dfa_states"] for r in rows] == [4, 6, 10]  # 2^n + 2
     assert [r["det_monitor_size"] for r in rows] == [14, 35, 164]
 
@@ -260,3 +261,22 @@ def test_cli_bench_records_caps_per_row(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["9", "10"]
     for line in lines[1:]:
         assert line.split(",")[-1] in ("cap", "timeout")
+
+
+def test_cli_rejects_an_unknown_automaton_type(tmp_path, capsys):
+    a = _mfile(tmp_path, "a.aut", "type: dfaa\nstates: q0\nalphabet: a\ninitial: q0\naccepting:\n")
+    assert cli.main(["to-dfa", a]) == 2
+    assert "nfa or dfa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (MemoryError, 3, "error: out of memory"),
+    (RecursionError, 4, "internal error:"),
+])
+def test_cli_exit_codes_for_resource_and_internal_errors(monkeypatch, capsys, error, code, message):
+    def fail(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "_cmd_synth", fail)
+    assert cli.main(["synth", "-"]) == code
+    assert capsys.readouterr().err.startswith(message)
