@@ -216,7 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="start state (default: the LTS init)")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("trace", help="verdicts a monitor flags on one trace")
+    p = sub.add_parser(
+        "trace",
+        help="verdicts a monitor flags on one trace",
+        description="Print the verdicts the monitor can reach on the trace, "
+        "or (none).  The monitor runs on rule system N: a variable jumps back "
+        "to its binder, found along the run without walking the whole "
+        "monitor.  A free variable is stuck; names bound twice are allowed.",
+    )
     p.add_argument("--monitor", required=True)
     p.add_argument("--trace", required=True, help="dot-separated actions, e.g. a.b.a")
     p.set_defaults(fn=_cmd_trace)

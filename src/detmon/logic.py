@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .semantics import Lts
+from .semantics import CapExceeded, Lts
 from .syntax import parse_formula, print_term
 from .terms import (
     And,
@@ -550,28 +550,51 @@ def system_to_formula(sys: EquationSystem) -> Formula:
     """Fold a deterministic-form system back into one formula by
     eliminating equations from the last upward: each variable becomes a
     greatest fixpoint over its right-hand side with all later variables
-    already replaced."""
+    already replaced.
+
+    Each equation's free variables are tracked as it goes, by
+    fv(g[x:=phi]) = fv(g) - {x} | fv(phi), so a later variable is
+    substituted only where it is free.  The rule is exact here: defined
+    variables occur only right under boxes over distinct actions, so no
+    substitution simplifies a conjunct away, and every binder a
+    substitution plants is for a later variable than any the planted
+    formula has free, so nothing is captured."""
     if not is_deterministic_form_system(sys):
         raise TermError("the system is not in deterministic form")
     eqs = list(sys.equations)
     eqs.sort(key=lambda e: e[0] != sys.principal)  # principal first, stable
-    phis: dict[str, Formula] = {}
+    phis: dict[str, tuple[Formula, frozenset[str]]] = {}
     for i in range(len(eqs) - 1, -1, -1):
         name, g = eqs[i]
+        fv = free_vars(g)
         for j in range(len(eqs) - 1, i, -1):
             later = eqs[j][0]
-            g = subst_formula(g, {later: phis[later]})
-        phis[name] = Max(name, g) if name in free_vars(g) else g
-    return phis[eqs[0][0]]
+            if later in fv:
+                phi, phi_fv = phis[later]
+                g = subst_formula(g, {later: phi})
+                fv = (fv - {later}) | phi_fv
+        phis[name] = (Max(name, g), fv - {name}) if name in fv else (g, fv)
+    return phis[eqs[0][0]][0]
 
 
-def determinize_formula(f: Formula) -> Formula:
+def _merged_system(f: Formula, cap: int | None) -> EquationSystem:
+    sys = determinize_system(formula_to_system(f))
+    if cap is not None and len(sys.equations) > cap:
+        raise CapExceeded(
+            f"{len(sys.equations)} merged equations exceeds the cap of {cap}; "
+            "pass force=True to fold anyway"
+        )
+    return sys
+
+
+def determinize_formula(f: Formula, cap: int | None = None) -> Formula:
     """End-to-end determinization on the formula side: flatten,
-    subset-merge, fold back.  Co-safety formulas run through duality."""
+    subset-merge, fold back.  Co-safety formulas run through duality.
+    CapExceeded when the merged system has more than `cap` equations."""
     if is_shml(f):
-        return system_to_formula(determinize_system(formula_to_system(f)))
+        return system_to_formula(_merged_system(f, cap))
     if is_chml(f):
-        return dualize(system_to_formula(determinize_system(formula_to_system(dualize(f)))))
+        return dualize(system_to_formula(_merged_system(dualize(f), cap)))
     raise FragmentError("determinization is defined per fragment; mixed formula")
 
 

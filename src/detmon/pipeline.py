@@ -10,8 +10,11 @@ Two independent routes arrive at a deterministic monitor:
   again.  Requires the monitor to be end-free.
 
 Both can blow up exponentially; caps keep accidents cheap and
-``force=True`` lifts them.  ``bench`` runs either witness family across
-a range of sizes with a per-stage timeout and reports CSV rows.
+``force=True`` lifts them.  Both routes cap the size of the deterministic
+object they build at ``DFA_MONITOR_CAP``: the minimal DFA's states, or
+the merged equation system's equations.  ``bench`` runs either witness
+family across a range of sizes with a per-stage timeout and reports CSV
+rows.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import time
 from typing import Callable
 
 from .automata import (
+    DFA_MONITOR_CAP,
     dfa_to_monitor,
     minimize_dfa,
     monitor_to_nfa,
@@ -75,7 +79,7 @@ def determinize_monitor(
         # while a verdict inside a choice only flags after one more
         # action.  The expansion makes the two readings line up.
         f = monitor_to_formula(eliminate_verdict_sums(m, alphabet))
-        return msf(determinize_formula(f))
+        return msf(determinize_formula(f, cap=None if force else DFA_MONITOR_CAP))
 
     nfa = monitor_to_nfa(m, verdict, alphabet)
     det = dfa_to_monitor(minimize_dfa(subset_construction(nfa)), force=force)

@@ -9,9 +9,12 @@ Three interchangeable rule systems drive recursion:
 
 All three produce the same verdicts on every trace; ``"M"`` and ``"N"``
 stay within the subterms of the original monitor, which is what the
-automata construction relies on.  Verdicts absorb every action of the
-declared alphabet (their self-loop rule), so the alphabet is an explicit
-argument throughout.
+automata construction relies on.  ``"N"`` is the default everywhere a
+monitor is run; ``"O"`` and ``"M"`` are kept as oracles for it.  A free
+variable is stuck under every system when a derivation works out its
+binders itself.  Verdicts absorb every action of the declared alphabet
+(their self-loop rule), so the alphabet is an explicit argument
+throughout.
 """
 
 from __future__ import annotations
@@ -34,12 +37,16 @@ from .terms import (
     TermError,
     Var,
     Verdict,
+    binder_names,
+    distinct_subterms,
+    free_vars,
     rename_apart,
     subst,
     subterms,
 )
 
 SYSTEMS = ("O", "M", "N")
+DEFAULT_SYSTEM = "N"
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -76,7 +83,7 @@ def binder_map(m: Term) -> dict[str, Rec]:
     occurrence is the same node (shared subterms are fine, conflicting
     ones are not)."""
     out: dict[str, Rec] = {}
-    for t in subterms(m):
+    for t in distinct_subterms(m):
         if isinstance(t, Rec):
             if t.var in out and out[t.var] != t:
                 raise TermError(
@@ -97,17 +104,54 @@ def binders_apart(m: Term, alphabet: frozenset[str]) -> tuple[Term, dict[str, Re
         return m, binder_map(m)
 
 
+def _names_apart(m: Term, alphabet: frozenset[str]) -> Term:
+    """The term with every binder's name its own: binders renamed apart
+    as binders_apart does, then each free variable that shares its name
+    with a binder renamed after it with primes.  A free variable is
+    stuck under any name, so the result flags the same verdicts on every
+    trace."""
+    m = rename_apart(m, alphabet)
+    bound = set(binder_names(m))
+    for x in sorted(free_vars(m) & bound):
+        fresh = x + "'"
+        while fresh in bound:
+            fresh += "'"
+        m = subst(m, x, Var(fresh))
+    return m
+
+
+class _Ambiguous(Exception):
+    """A subterm reached at two places whose binders of one of its free
+    variables differ: the binder of a name cannot be told from the term."""
+
+
 class StepEngine:
     """Transition relation of one monitor (or process) under one rule system.
 
-    Weak successor sets are cached per engine; iteration order everywhere
-    is deterministic (sorted actions, discovery order for terms).
+    Under "M" and "N" a variable goes back to its binder.  Given a
+    `binders` map, the engine looks it up there and an unbound variable
+    raises FreeVariableError.  Without one, the engine works binders out
+    along the derivation and walks nothing else of the monitor: each term
+    is entered under the innermost binder around the place the derivation
+    reached it from, each ``rec x`` is recorded with the binder around it
+    as the derivation steps through it (mRecF), and a variable resolves
+    to the nearest recorded binder of its name on that chain, or is stuck,
+    as under "O", when there is none.  Every ancestor of a place a
+    derivation reaches was reached first, so the binder found is the
+    lexical one.  A subterm entered a second time under binders that
+    differ on one of its free variables raises _Ambiguous (`derive` then
+    renames the names apart and runs again).
+
+    Strong steps are computed once per term, except under a given binder
+    map; weak successor sets are cached per engine; iteration order
+    everywhere is deterministic (sorted actions, discovery order for
+    terms).
     """
 
     def __init__(
         self,
         alphabet: frozenset[str],
-        system: str = "O",
+        system: str = DEFAULT_SYSTEM,
         binders: dict[str, Rec] | None = None,
         cap: int = DEFAULT_CLOSURE_CAP,
     ):
@@ -116,42 +160,95 @@ class StepEngine:
         self.alphabet = alphabet
         self.actions = tuple(sorted(alphabet))
         self.system = system
-        self.binders = binders or {}
+        self.binders = binders
         self.cap = cap
         self._closure: dict[Term, tuple[Term, ...]] = {}
         self._weak: dict[tuple[Term, str], tuple[Term, ...]] = {}
+        # The automaton constructions, which pass a binder map, keep their
+        # own tables of states; they get the steps uncached.
+        self._steps: dict[Term, list[Step]] | None = (
+            None if binders is not None and system != "O" else {}
+        )
+        # Without a binder map, under "M"/"N": the innermost binder around
+        # each term entered (None: none), the binder around each binder
+        # stepped through, and the free variables of re-entered terms.
+        self._around: dict[Term, Rec | None] | None = (
+            {} if binders is None and system != "O" else None
+        )
+        self._outer: dict[Rec, Rec | None] = {}
+        self._free: dict[Term, frozenset[str]] = {}
 
     # -- single steps ------------------------------------------------------
 
     def steps(self, m: Term) -> list[Step]:
+        if self._steps is None:
+            return self._strong(m)
+        out = self._steps.get(m)
+        if out is None:
+            out = self._steps[m] = self._strong(m)
+        return out
+
+    def _strong(self, m: Term) -> list[Step]:
+        around = self._around
+        if around is not None:
+            scope = around.setdefault(m, None)  # a term entered from nowhere is a root
         if isinstance(m, Verdict):
             return [Step(a, m, "mVerd") for a in self.actions]
         if isinstance(m, Nil):
             return []
         if isinstance(m, Prefix):
+            if around is not None:
+                self._enter(m.body, scope)
             return [Step(m.action, m.body, "mAct")]
         if isinstance(m, Sum):
             out: list[Step] = []
             for idx, s in enumerate(m.summands):
+                if around is not None:
+                    self._enter(s, scope)
                 rule = "mSelL" if idx == 0 else "mSelR"
                 out.extend(Step(st.label, st.target, rule) for st in self.steps(s))
             return out
         if isinstance(m, Rec):
             if self.system == "O":
                 return [Step(TAU, subst(m.body, m.var, m), "mRec")]
+            if around is not None:
+                self._outer[m] = scope
+                self._enter(m.body, m)
             return [Step(TAU, m.body, "mRecF")]
         if isinstance(m, Var):
             if self.system == "O":
                 return []  # stuck; closed terms never expose a variable
-            binder = self.binders.get(m.name)
-            if binder is None:
-                raise FreeVariableError(
-                    f"variable {m.name!r} has no binder in this derivation"
-                )
+            if around is None:
+                binder = self.binders.get(m.name)
+                if binder is None:
+                    raise FreeVariableError(
+                        f"variable {m.name!r} has no binder in this derivation"
+                    )
+            else:
+                binder = self._binder(m.name, scope)
+                if binder is None:
+                    return []  # free: stuck, as under "O"
             if self.system == "M":
                 return [Step(TAU, binder.body, "mRecP")]
             return [Step(TAU, binder, "mRecB")]
         raise TermError(f"no transition rules for {m!r}")
+
+    def _binder(self, name: str, scope: Rec | None) -> Rec | None:
+        """The nearest binder of `name` on the chain out from `scope`."""
+        while scope is not None and scope.var != name:
+            scope = self._outer[scope]
+        return scope
+
+    def _enter(self, t: Term, scope: Rec | None) -> None:
+        old = self._around.setdefault(t, scope)
+        if old is scope:
+            return
+        free = self._free.get(t)
+        if free is None:
+            free = self._free[t] = free_vars(t)
+        for x in free:
+            if self._binder(x, old) != self._binder(x, scope):
+                raise _Ambiguous(x)
 
     # -- weak closures -----------------------------------------------------
 
@@ -193,12 +290,13 @@ class StepEngine:
 def steps(
     m: Term,
     alphabet: frozenset[str],
-    system: str = "O",
+    system: str = DEFAULT_SYSTEM,
     binders: dict[str, Rec] | None = None,
 ) -> list[Step]:
     """Strong transitions of `m`.  For "M"/"N" the binder environment is
     collected from `m` itself unless one is passed in (as a derivation
-    from an enclosing monitor would)."""
+    from an enclosing monitor would); a variable it does not bind raises
+    FreeVariableError."""
     if binders is None and system in ("M", "N"):
         binders = binder_map(m)
     return StepEngine(alphabet, system, binders).steps(m)
@@ -208,23 +306,30 @@ def derive(
     m: Term,
     trace: Iterable[str],
     alphabet: frozenset[str],
-    system: str = "O",
+    system: str = DEFAULT_SYSTEM,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> tuple[Term, ...]:
     """All terms reachable from `m` through the weak trace relation
-    (tau steps freely interleaved, trailing taus included)."""
-    binders = binder_map(m) if system in ("M", "N") else None
-    return StepEngine(alphabet, system, binders, cap).derive(m, trace)
+    (tau steps freely interleaved, trailing taus included).  Under "M"
+    and "N" binders are worked out along the derivation; when a name's
+    binder is ambiguous there, the derivation runs again on _names_apart(m)."""
+    trace = tuple(trace)
+    try:
+        return StepEngine(alphabet, system, cap=cap).derive(m, trace)
+    except _Ambiguous:
+        return StepEngine(alphabet, system, cap=cap).derive(_names_apart(m, alphabet), trace)
 
 
 def verdicts_on(
     m: Term,
     trace: Iterable[str],
     alphabet: frozenset[str],
-    system: str = "O",
+    system: str = DEFAULT_SYSTEM,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> frozenset[str]:
-    """The verdicts `m` can reach on `trace`."""
+    """The verdicts `m` can reach on `trace`.  Rule system "N" by
+    default; "O" and "M" give the same verdicts and are kept as oracles.
+    A free variable is stuck."""
     return frozenset(
         t.value for t in derive(m, trace, alphabet, system, cap) if isinstance(t, Verdict)
     )

@@ -401,6 +401,19 @@ def subterms(term: Term) -> Iterator[Term]:
         stack.extend(reversed(t.children()))
 
 
+def distinct_subterms(term: Term) -> list[Term]:
+    """Each distinct node object of the term once, breadth-first: a
+    subterm shared by many parents is listed once."""
+    seen = {id(term)}
+    order = [term]
+    for t in order:  # the list grows while it is walked
+        for k in t.children():
+            if id(k) not in seen:
+                seen.add(id(k))
+                order.append(k)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Smart constructors
 # ---------------------------------------------------------------------------
@@ -522,7 +535,7 @@ def actions_in(term: Term) -> frozenset[str]:
 
 
 def verdicts_in(term: Term) -> frozenset[str]:
-    return frozenset(t.value for t in subterms(term) if isinstance(t, Verdict))
+    return frozenset(t.value for t in distinct_subterms(term) if isinstance(t, Verdict))
 
 
 def is_shml(f: Formula) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from detmon import cli
 from detmon.equivalence import simple_traces
 from detmon.families import mn_monitor
-from detmon.semantics import verdicts_on
+from detmon.semantics import binder_map, verdicts_on
 from detmon.synthesis import VERDICT_ACTIONS, monitor_to_formula, msf, pi, pi_inverse
 from detmon.syntax import parse_formula, parse_monitor, print_term
 from detmon.terms import (
@@ -36,6 +36,7 @@ from detmon.terms import (
     size,
     subst,
     subterms,
+    verdicts_in,
     well_form,
 )
 from detmon.verdicts import nu, nu_inverse
@@ -165,6 +166,14 @@ def test_shared_subterms_are_folded_once():
     start = time.perf_counter()
     assert size(m) == 5 * 2**39 + 5
     hash(m)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_queries_visit_shared_subterms_once():
+    m = mn_monitor(40)
+    start = time.perf_counter()
+    assert verdicts_in(m) == {YES}
+    assert binder_map(m) == {"x": m}
     assert time.perf_counter() - start < 1.0
 
 

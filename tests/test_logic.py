@@ -24,11 +24,24 @@ from detmon.logic import (
     system_to_formula,
     to_standard_form,
 )
+from detmon.families import mn_monitor
 from detmon.semantics import parse_lts
+from detmon.synthesis import monitor_to_formula
 from detmon.syntax import parse_formula, print_term
-from detmon.terms import TermError
+from detmon.terms import (
+    Max,
+    NO,
+    TermError,
+    YES,
+    dualize,
+    eliminate_verdict_sums,
+    free_vars,
+    is_shml,
+    subst_formula,
+    well_form,
+)
 
-from gen import random_lts, random_shml
+from gen import random_lts, random_monitor, random_shml
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -256,3 +269,42 @@ def test_system_to_formula_rejects_nondeterministic_systems():
     sys, _ = example_system()
     with pytest.raises(TermError):
         system_to_formula(sys)
+
+
+def quadratic_system_to_formula(sys):
+    """The reference elimination: every later variable is substituted
+    into every earlier equation, and the fixpoint test walks the result."""
+    eqs = list(sys.equations)
+    eqs.sort(key=lambda e: e[0] != sys.principal)
+    phis = {}
+    for i in range(len(eqs) - 1, -1, -1):
+        name, g = eqs[i]
+        for j in range(len(eqs) - 1, i, -1):
+            later = eqs[j][0]
+            g = subst_formula(g, {later: phis[later]})
+        phis[name] = Max(name, g) if name in free_vars(g) else g
+    return phis[eqs[0][0]]
+
+
+def merged_systems():
+    """Merged systems as both determinization paths make them: from
+    random safety formulas, from random monitors read as formulas (the
+    equations route), and from M_1..M_3."""
+    rng = random.Random(20)
+    formulas = [random_shml(rng, rng.randint(1, 4)) for _ in range(150)]
+    for i in range(150):
+        verdict = (YES, NO)[i % 2]
+        m = well_form(random_monitor(rng, rng.randint(4, 24), AB, (verdict,)), AB)
+        f = monitor_to_formula(eliminate_verdict_sums(m, AB))
+        formulas.append(f if is_shml(f) else dualize(f))
+    fam = frozenset({"0", "1", "e"})
+    for n in (1, 2, 3):
+        formulas.append(dualize(monitor_to_formula(eliminate_verdict_sums(mn_monitor(n), fam))))
+    return [determinize_system(formula_to_system(f)) for f in formulas]
+
+
+def test_system_to_formula_matches_the_quadratic_elimination():
+    systems = merged_systems()
+    assert max(len(s.equations) for s in systems) >= 8
+    for sys in systems:
+        assert print_term(system_to_formula(sys)) == print_term(quadratic_system_to_formula(sys))

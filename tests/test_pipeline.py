@@ -7,9 +7,10 @@ import pytest
 from detmon import cli
 from detmon.automata import language_equiv, monitor_to_nfa
 from detmon.equivalence import verdict_equiv
+from detmon.families import ALPHABET_01E, mn_monitor
 from detmon.pipeline import BENCH_COLUMNS, bench, bench_csv, determinize_monitor
-from detmon.semantics import is_deterministic
-from detmon.syntax import parse_monitor, parse_monitor_file, print_term
+from detmon.semantics import CapExceeded, is_deterministic
+from detmon.syntax import format_term_file, parse_monitor, parse_monitor_file, print_term
 from detmon.terms import END, NO, YES, TermError, Verdict, verdicts_in, well_form
 from detmon.verdicts import is_conflicting
 
@@ -48,6 +49,20 @@ def test_running_example_both_routes():
     for out in (via_automata, via_equations):
         assert is_deterministic(out)
         assert verdict_equiv(m_e, out, A)
+
+
+def test_equations_route_caps_the_merged_system(tmp_path, capsys):
+    m4 = mn_monitor(4)
+    with pytest.raises(CapExceeded, match="merged equations exceeds the cap of 12"):
+        determinize_monitor(m4, ALPHABET_01E, method="equations")
+    m_e = parse_monitor("rec x. a.(a.no + x)", A)
+    for force in (False, True):
+        out = determinize_monitor(m_e, A, method="equations", force=force)
+        assert print_term(out) == "a.a.no"
+    path = _mfile(tmp_path, "m4.mon", format_term_file(m4, ALPHABET_01E))
+    assert cli.main(["determinize", path, "--method", "equations"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "merged equations" in captured.err
 
 
 def test_routes_agree_on_random_monitors():
@@ -109,6 +124,9 @@ def test_bench_csv_is_rectangular():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+
+REUSED = "alphabet: a, b\na.(rec x. a.x + b.no) + b.(rec x. b.x + a.no)\n"
 
 
 def _mfile(tmp_path, name, text):
@@ -177,6 +195,25 @@ def test_cli_trace(tmp_path, capsys):
     assert "(none)" in capsys.readouterr().out
 
 
+OPEN = "alphabet: a, b\na.x + b.yes\n"
+
+
+@pytest.mark.parametrize("text, trace, printed", [
+    (OPEN, "a.b", "(none)"),
+    (OPEN, "b", "yes"),
+    (OPEN, "a", "(none)"),
+    (REUSED, "a.b", "no"),
+    (REUSED, "a.a.a.b", "no"),
+    (REUSED, "a.a.a", "(none)"),
+    (REUSED, "b.b.a", "no"),
+    (REUSED, "b.b.b.b", "(none)"),
+])
+def test_cli_trace_on_open_and_reused_binder_monitors(tmp_path, capsys, text, trace, printed):
+    m = _mfile(tmp_path, "m.mon", text)
+    assert cli.main(["trace", "--monitor", m, "--trace", trace]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 def test_cli_family(capsys):
     assert cli.main(["family", "--name", "mn", "--n", "1"]) == 0
     assert "rec x. 0.x + 1.x + 1.e.yes" in capsys.readouterr().out
@@ -217,9 +254,6 @@ def test_cli_bench_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(BENCH_COLUMNS)
     assert len(lines) == 3
-
-
-REUSED = "alphabet: a, b\na.(rec x. a.x + b.no) + b.(rec x. b.x + a.no)\n"
 
 
 def test_reused_binder_names_are_renamed_apart():

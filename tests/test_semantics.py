@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detmon.families import ALPHABET_01E, mn_monitor, mn_predicate
 from detmon.semantics import (
     CapExceeded,
     Lts,
@@ -35,9 +36,11 @@ from detmon.terms import (
     Var,
     Verdict,
     YES,
+    fold,
+    prefix_chain,
 )
 
-from gen import all_words, random_monitor
+from gen import all_words, random_monitor, random_word
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -132,6 +135,80 @@ def test_three_systems_agree_on_random_monitors(seed):
     for w in all_words(AB, 3):
         flags = {s: verdicts_on(m, w, AB, system=s) for s in ("O", "M", "N")}
         assert flags["O"] == flags["M"] == flags["N"], (m, w)
+
+
+def scramble(rng, m):
+    """`m` with every binder renamed to x or y and every variable to x, y
+    or z: names bound twice, variables left free, and free variables that
+    share a name with a binder elsewhere."""
+
+    def step(t, kids):
+        if isinstance(t, Rec):
+            return Rec(rng.choice("xy"), kids[0])
+        if isinstance(t, Var):
+            return Var(rng.choice("xyz"))
+        return t.rebuild(kids)
+
+    return fold(m, step)
+
+
+# Each is open, reuses a binder name, or both.  On the given trace, a
+# variable resolved by its name alone, through a binder map of the whole
+# monitor, gives another answer than "O" for at least one such map:
+# another verdict, or an error where the variable is free.
+TRICKY = [
+    ("a.x + b.yes", ("a", "b")),
+    ("(rec x. a.b.yes) + b.x", ("b", "a", "b")),
+    ("b.x + rec x. a.b.yes", ("b", "a", "b")),
+    ("rec x. a.(rec x. b.x + a.yes) + b.x", ("a", "b", "b", "a")),
+    ("a.(rec x. a.x + b.no) + b.(rec x. b.x + a.no)", ("a", "a", "b")),
+    ("a.(rec x. a.x + b.no) + b.(rec x. b.x + a.no)", ("b", "b", "a")),
+    ("rec x. a.x + b.(rec y. a.x + b.y + a.b.z)", ("b", "a", "b", "a")),
+]
+
+
+def test_default_agrees_with_O_on_open_and_reused_binder_monitors():
+    for text, trace in TRICKY:
+        m = parse_monitor(text, AB)
+        for w in [trace, *all_words(AB, 4)]:
+            assert verdicts_on(m, w, AB) == verdicts_on(m, w, AB, system="O"), (text, w)
+
+
+def test_default_agrees_with_O_on_generated_monitors():
+    rng = random.Random(58)
+    for i in range(600):
+        m = random_monitor(rng, rng.randint(3, 16))
+        if i % 2:
+            m = scramble(rng, m)
+        for w in [*all_words(AB, 3), random_word(rng, 8)]:
+            expected = verdicts_on(m, w, AB, system="O")
+            assert verdicts_on(m, w, AB) == expected, (m, w)
+            assert verdicts_on(m, w, AB, system="M") == expected, (m, w)
+
+
+def test_default_agrees_with_O_on_shared_and_deep_monitors():
+    rng = random.Random(59)
+    for n in (1, 2, 5, 12, 40):
+        m = mn_monitor(n)  # the levels below the top choice are shared
+        words = [random_word(rng, n + 4, frozenset("01")) + ("e",) for _ in range(20)]
+        words.append(("1",) + ("0",) * (n - 1) + ("e",))
+        for w in words:
+            expected = {YES} if mn_predicate(n, w) else set()
+            assert verdicts_on(m, w, ALPHABET_01E) == expected, (n, w)
+            assert verdicts_on(m, w, ALPHABET_01E, system="O") == expected, (n, w)
+    deep = 100_000
+    m = prefix_chain(["a"] * deep, parse_monitor("rec x. b.x + a.yes", AB))
+    for w in (("a",) * deep + ("b", "b", "a"), ("a",) * deep + ("b",), ("a",) * (deep + 1)):
+        assert verdicts_on(m, w, AB) == verdicts_on(m, w, AB, system="O")
+    assert verdicts_on(m, ("a",) * deep + ("b", "a"), AB) == {YES}
+
+
+def test_O_unfolds_each_binder_once_per_engine():
+    m = me()
+    eng = StepEngine(A, "O")
+    (first,) = eng.steps(m)
+    (again,) = eng.steps(m)
+    assert again.target is first.target
 
 
 def test_derive_includes_trailing_taus():
