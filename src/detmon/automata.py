@@ -1,16 +1,16 @@
 """Finite automata over action alphabets, and the monitor round trips.
 
-A monitor becomes an NFA whose states are the subterms it can reach
-(recursion handled binder-style, so the state space never grows past the
-monitor's size) and whose edges are weak steps.  Determinization is the
-subset construction; minimization always returns the total minimal DFA,
-completing with a reject sink first, so equal languages give structurally
-identical automata after canonical renaming.
+A monitor becomes an NFA in one indexed compile, a position automaton:
+rule system "N" never leaves the monitor's own subterms, so the states
+are its structurally distinct subterms, numbered in one fold, and the
+edges are weak steps.  Determinization is the subset construction;
+minimization always returns the total minimal DFA, completing with a
+reject sink first, so equal languages give structurally identical
+automata after canonical renaming.
 
-Every operation runs on one indexed form, built once per automaton when
-it is constructed: states are dense integers, each symbol has one
-successor list, and acceptance is a bitmap.  State names are made only
-when an automaton is materialized.
+Every operation runs on one indexed form, built once per automaton: states
+are dense integers, each symbol has one successor list, and acceptance is
+a bitmap.  State names are made only when an automaton is materialized.
 
 The way back — an automaton as a monitor — requires the automaton to be
 *irrevocable* (acceptance can never be escaped), mirroring how a verdict
@@ -24,26 +24,30 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import Iterable, Union
 
-from .semantics import CapExceeded, StepEngine, binders_apart
+from .semantics import DEFAULT_CLOSURE_CAP, CapExceeded, _reach
 from .terms import (
     END,
     NO,
+    TAU,
     YES,
+    FreeVariableError,
     Monitor,
+    Nil,
     Prefix,
     Rec,
+    Sum,
     Term,
     TermError,
     Var,
     Verdict,
     fold,
     mk_sum,
-    verdicts_in,
+    rename_apart,
 )
 
 
@@ -53,18 +57,22 @@ class _Ix:
     State i is ``names[i]``, numbered in sorted name order, so sorting
     ids sorts names; ``succ[k][i]`` is the sorted tuple of i's successors
     on ``symbols[k]``, symbols sorted too; ``acc[i]`` is 1 when i accepts.
+    A table only compared, never materialized, has no names (None).
     """
 
     __slots__ = ("names", "ids", "symbols", "column", "succ", "initial", "acc")
 
-    def __init__(self, names: list[str], symbols: tuple[str, ...]) -> None:
+    def __init__(
+        self, names: list[str] | None, symbols: tuple[str, ...],
+        succ: list[list[tuple[int, ...]]], initial: int, acc: bytearray,
+    ) -> None:
         self.names = names
-        self.ids = {q: i for i, q in enumerate(names)}
+        self.ids = {q: i for i, q in enumerate(names or ())}
         self.symbols = symbols
         self.column = {y: k for k, y in enumerate(symbols)}
-        self.succ: list[list[tuple[int, ...]]] = [[()] * len(names) for _ in symbols]
-        self.initial = 0
-        self.acc = bytearray(len(names))
+        self.succ = succ
+        self.initial = initial
+        self.acc = acc
 
 
 def _index(a: Automaton, deterministic: bool) -> _Ix:
@@ -73,8 +81,11 @@ def _index(a: Automaton, deterministic: bool) -> _Ix:
         raise TermError(f"initial state {a.initial!r} is not a state")
     if not a.accepting <= a.states:
         raise TermError("accepting states must be states")
-    ix = _Ix(sorted(a.states), tuple(sorted(a.alphabet)))
-    ids, column, succ = ix.ids, ix.column, ix.succ
+    names = sorted(a.states)
+    symbols = tuple(sorted(a.alphabet))
+    succ: list[list[tuple[int, ...]]] = [[()] * len(names) for _ in symbols]
+    ix = _Ix(names, symbols, succ, 0, bytearray(len(names)))
+    ids, column = ix.ids, ix.column
     for src, sym, dst in a.transitions:
         try:
             i, j, row = ids[src], ids[dst], succ[column[sym]]
@@ -94,6 +105,41 @@ def _index(a: Automaton, deterministic: bool) -> _Ix:
     for q in a.accepting:
         ix.acc[ids[q]] = 1
     return ix
+
+
+def _materialize(
+    cls: type, names: list[str], alphabet: frozenset[str], symbols: tuple[str, ...],
+    succ: list[list[tuple[int, ...]]], acc: bytearray,
+) -> Automaton:
+    """The automaton of a table whose state i is called names[i], 0
+    initial.  The table, renumbered in sorted name order, becomes its
+    index; names that collide (subset names made of names that hold '+')
+    take the checked constructor."""
+    perm = sorted(range(len(names)), key=names.__getitem__)
+    new = [0] * len(perm)
+    for pos, i in enumerate(perm):
+        new[i] = pos
+    rows = [
+        [(new[ts[0]],) if len(ts) == 1 else tuple(sorted([new[j] for j in ts]))
+         for ts in [row[i] for i in perm]]
+        for row in succ
+    ]
+    ix = _Ix([names[i] for i in perm], symbols, rows, new[0], bytearray(acc[i] for i in perm))
+    names, initial = ix.names, ix.names[ix.initial]
+    states = frozenset(names)
+    transitions = frozenset(
+        (names[i], y, names[j])
+        for y, row in zip(symbols, rows) for i, targets in enumerate(row) for j in targets
+    )
+    accepting = frozenset(names[i] for i, f in enumerate(ix.acc) if f)
+    if len(states) != len(names):
+        return cls(states, alphabet, transitions, initial, accepting)
+    a = object.__new__(cls)
+    a.__dict__.update(
+        states=states, alphabet=alphabet, transitions=transitions,
+        initial=initial, accepting=accepting, _ix=ix,
+    )
+    return a
 
 
 @dataclass(frozen=True)
@@ -147,53 +193,161 @@ def as_nfa(a: Automaton) -> Nfa:
 # ---------------------------------------------------------------------------
 
 
-def _monitor_nfa(m: Monitor, alphabet: frozenset[str], accept_verdict: str) -> Nfa:
-    m, binders = binders_apart(m, alphabet)
-    engine = StepEngine(alphabet, "N", binders)
-    target = Verdict(accept_verdict)
-    ids: dict[Term, str] = {}
-    order: list[Term] = []
+class _Positions:
+    """A monitor's transition system under rule system "N", on integers.
 
-    def id_of(t: Term) -> str:
-        if t not in ids:
-            ids[t] = f"q{len(order)}"
-            order.append(t)
-        return ids[t]
+    One fold numbers the structurally distinct subterms, the positions;
+    a position's strong steps, tau closure and weak successors are found
+    once, when a derivation first reaches it, in StepEngine's order:
+    ``rec x.m`` steps to m, ``x`` to the binder of that name, a choice
+    takes its summands' steps in turn, a verdict loops on every action.
+    Binders are renamed apart first when two different ones share a name.
+    ``verdicts`` maps each verdict value to its position.
+    """
 
-    id_of(m)
-    transitions: set[tuple[str, str, str]] = set()
-    i = 0
-    while i < len(order):
-        q = order[i]
-        for a in sorted(alphabet):
-            for q2 in engine.weak_successors(q, a):
-                transitions.add((ids[q], a, id_of(q2)))
-        i += 1
-    # A state accepts when the verdict sits in its tau closure; this only
-    # matters for the initial state (weak successors are already closed,
-    # so later frontiers contain the verdict term itself).
-    accepting = frozenset(
-        ids[t] for t in order if target in engine.tau_closure(t)
-    )
-    return Nfa(frozenset(ids.values()), alphabet, frozenset(transitions), ids[m], accepting)
+    def __init__(
+        self, m: Monitor, alphabet: frozenset[str], cap: int = DEFAULT_CLOSURE_CAP
+    ) -> None:
+        self.symbols = tuple(sorted(alphabet))
+        self.cap = cap
+        if not self._number(m):  # a name bound by two different binders
+            self._number(rename_apart(m, alphabet))
+        n = len(self._nodes)
+        self._steps: list = [None] * n
+        self._closures: list = [None] * n
+        self._weak = [[None] * n for _ in self.symbols]
+
+    def _number(self, m: Monitor) -> bool:
+        nodes: list[Term] = []
+        kids_of: list = []
+        # One table per node class and label, keyed by the children's
+        # positions (an int for a single child): keys that hold nothing
+        # for the garbage collector to trace, and few tuples for the
+        # allocator to keep once the tables are dropped.
+        ids: defaultdict[tuple[type, str | None], dict] = defaultdict(dict)
+        self._binders: dict[str, int] = {}
+        self.verdicts: dict[str, int] = {}
+        unique = True
+
+        def number(t: Term, kids) -> int:
+            nonlocal unique
+            table = ids[t.__class__, t._label()]
+            key = kids[0] if len(kids) == 1 else tuple(kids)
+            i = table.get(key)
+            if i is None:
+                i = table[key] = len(nodes)
+                nodes.append(t)
+                kids_of.append(kids)
+                if isinstance(t, Rec):
+                    unique = unique and self._binders.setdefault(t.var, i) == i
+                elif isinstance(t, Verdict):
+                    self.verdicts[t.value] = i
+            return i
+
+        self.root = fold(m, number)
+        self._nodes, self._kids = nodes, kids_of
+        return unique
+
+    def steps(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Position i's tau steps, and its other steps, each to target t
+        on ``symbols[k]`` written as the number t * len(symbols) + k."""
+        out = self._steps[i]
+        if out is None:
+            t, kids = self._nodes[i], self._kids[i]
+            taus, moves = (), ()
+            if isinstance(t, Prefix):
+                if t.action == TAU:
+                    taus = (kids[0],)
+                elif t.action in self.symbols:
+                    moves = (kids[0] * len(self.symbols) + self.symbols.index(t.action),)
+            elif isinstance(t, Sum):
+                parts = [self.steps(s) for s in kids]
+                taus = tuple(chain.from_iterable(p[0] for p in parts))
+                moves = tuple(chain.from_iterable(p[1] for p in parts))
+            elif isinstance(t, Rec):
+                taus = (kids[0],)
+            elif isinstance(t, Var):
+                if t.name not in self._binders:
+                    raise FreeVariableError(
+                        f"variable {t.name!r} has no binder in this derivation"
+                    )
+                taus = (self._binders[t.name],)
+            elif isinstance(t, Verdict):
+                moves = tuple(range(i * len(self.symbols), (i + 1) * len(self.symbols)))
+            elif not isinstance(t, Nil):
+                raise TermError(f"no transition rules for {t!r}")
+            out = self._steps[i] = (taus, moves)
+        return out
+
+    def closure(self, i: int) -> tuple[int, ...]:
+        """Position i's tau closure, in discovery order; CapExceeded once
+        it holds more than `cap` positions."""
+        c = self._closures[i]
+        if c is None:
+            taus = lambda j: self.steps(j)[0]
+            if not taus(i):
+                return (i,)
+            c = self._closures[i] = tuple(_reach((i,), taus, self.cap))
+        return c
+
+    def targets(self, i: int, k: int) -> tuple[int, ...]:
+        """The targets of the ``symbols[k]`` steps of position i's tau
+        closure, in discovery order."""
+        steps, n = self.steps, len(self.symbols)
+        moves = (c for p in self.closure(i) for c in steps(p)[1] if c % n == k)
+        return tuple(dict.fromkeys(c // n for c in moves))
+
+    def weak(self, i: int, k: int) -> tuple[int, ...]:
+        """Position i's weak successors on ``symbols[k]``, the tau closures
+        of its targets, in discovery order."""
+        w = self._weak[k][i]
+        if w is None:
+            closure = self.closure
+            w = tuple(dict.fromkeys(q for t in self.targets(i, k) for q in closure(t)))
+            self._weak[k][i] = w
+        return w
+
+    def nfa(self, verdict: str, weak: bool = True) -> _Ix:
+        """The unnamed NFA of the positions reachable from the root,
+        numbered breadth-first; a state accepts where `verdict` lies in its
+        tau closure.  Its edges are weak steps, or with weak=False only
+        the targets: fewer states, the same language."""
+        successors = self.weak if weak else self.targets
+        order, number = [self.root], {self.root: 0}
+        succ: list[list[tuple[int, ...]]] = [[] for _ in self.symbols]
+        for p in order:  # the list grows while it is walked
+            for k, out in enumerate(succ):
+                targets = []
+                for q in successors(p, k):
+                    if q not in number:
+                        number[q] = len(order)
+                        order.append(q)
+                    targets.append(number[q])
+                out.append(tuple(targets))
+        target = self.verdicts.get(verdict, -1)
+        acc = bytearray(target in self.closure(p) for p in order)
+        return _Ix(None, self.symbols, succ, 0, acc)
 
 
 def monitor_to_nfa(
     m: Monitor, accept_verdict: str, alphabet: frozenset[str]
 ) -> Nfa:
     """The language automaton of a single-verdict monitor: states are the
-    reachable subterms, edges are weak steps, and exactly the traces on
-    which the monitor can reach `accept_verdict` are accepted.  The state
-    count never exceeds the monitor's size."""
+    reachable subterms, named q0, q1, ... in breadth-first order, edges
+    are weak steps, and exactly the traces on which the monitor can reach
+    `accept_verdict` are accepted.  The state count never exceeds the
+    monitor's size."""
     if accept_verdict not in (YES, NO):
         raise TermError("accept_verdict must be 'yes' or 'no'")
     other = NO if accept_verdict == YES else YES
-    present = verdicts_in(m)
-    if other in present:
+    positions = _Positions(m, alphabet)
+    if other in positions.verdicts:
         raise TermError(
             f"monitor carries the {other!r} verdict; not a {accept_verdict}-monitor"
         )
-    return _monitor_nfa(m, alphabet, accept_verdict)
+    ix = positions.nfa(accept_verdict)
+    names = [f"q{i}" for i in range(len(ix.acc))]
+    return _materialize(Nfa, names, alphabet, ix.symbols, ix.succ, ix.acc)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +451,8 @@ def _determinize(
                 t = number[target] = len(subsets)
                 subsets.append(target)
             out.append(t)
-    acc = ix.acc
-    return subsets, table, bytearray(any(acc[q] for q in s) for s in subsets)
+    accepting = {q for q, f in enumerate(ix.acc) if f}
+    return subsets, table, bytearray(not accepting.isdisjoint(s) for s in subsets)
 
 
 def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytearray]:
@@ -387,19 +541,8 @@ def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytea
     return minimal, bytearray(final[q] for q in reps)
 
 
-def _dfa(
-    names: list[str], alphabet: frozenset[str], symbols: tuple[str, ...],
-    table: _Table, acc: bytearray,
-) -> Dfa:
-    """Materialize a table whose state i is called names[i], 0 initial."""
-    transitions = frozenset(
-        (names[i], y, names[j])
-        for y, out in zip(symbols, table)
-        for i, j in enumerate(out)
-        if j >= 0
-    )
-    accepting = frozenset(names[i] for i, f in enumerate(acc) if f)
-    return Dfa(frozenset(names), alphabet, transitions, names[0], accepting)
+def _as_succ(table: _Table) -> list[list[tuple[int, ...]]]:
+    return [[(j,) if j >= 0 else () for j in out] for out in table]
 
 
 def subset_construction(a: Nfa) -> Dfa:
@@ -409,7 +552,7 @@ def subset_construction(a: Nfa) -> Dfa:
     ix = a._ix
     subsets, table, acc = _determinize(ix, ix.symbols)
     names = ["+".join([ix.names[q] for q in sorted(s)]) for s in subsets]
-    return _dfa(names, a.alphabet, ix.symbols, table, acc)
+    return _materialize(Dfa, names, a.alphabet, ix.symbols, _as_succ(table), acc)
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
@@ -424,38 +567,61 @@ def minimize_dfa(d: Dfa) -> Dfa:
     table = [[t[0] if t else -1 for t in row] for row in ix.succ]
     out, acc = _minimal(table, ix.acc, ix.initial)
     names = [f"s{i}" for i in range(len(acc))]
-    return _dfa(names, d.alphabet, ix.symbols, out, acc)
+    return _materialize(Dfa, names, d.alphabet, ix.symbols, _as_succ(out), acc)
 
 
-def _canonical(a: Automaton, symbols: tuple[str, ...]) -> tuple[_Table, bytearray]:
-    """The canonical minimal table of a's language over `symbols`."""
-    _, table, acc = _determinize(a._ix, symbols)
+def _canonical(ix: _Ix, symbols: tuple[str, ...]) -> tuple[_Table, bytearray]:
+    """The canonical minimal table of an index's language over `symbols`."""
+    _, table, acc = _determinize(ix, symbols)
     return _minimal(table, acc, 0)
+
+
+def _difference(a: _Ix, b: _Ix, symbols: tuple[str, ...]) -> tuple[str, ...] | None:
+    """A shortest word over `symbols` accepted by exactly one of two
+    indexes, or None when their languages coincide: the canonical minimal
+    tables are compared, then searched breadth-first in product."""
+    (ta, fa), (tb, fb) = _canonical(a, symbols), _canonical(b, symbols)
+    if (ta, fa) == (tb, fb):
+        return None
+
+    def edges(pair: tuple[int, int]):
+        return [(y, (ta[k][pair[0]], tb[k][pair[1]])) for k, y in enumerate(symbols)]
+
+    return _shortest_word([(0, 0)], edges, lambda pair: fa[pair[0]] != fb[pair[1]])
+
+
+def _shortest_word(starts: Iterable, edges, goal) -> tuple[str, ...] | None:
+    """Breadth-first search from `starts`, where edges(node) lists the
+    node's (symbol, node) edges in order: the symbols along a shortest
+    path to a node where goal holds, or None when there is none."""
+    parents: dict = dict.fromkeys(starts)
+    queue = deque(parents)
+    while queue:
+        node = queue.popleft()
+        if goal(node):
+            word: list[str] = []
+            link = parents[node]
+            while link is not None:
+                node, sym = link
+                word.append(sym)
+                link = parents[node]
+            return tuple(reversed(word))
+        for sym, nxt in edges(node):
+            if nxt not in parents:
+                parents[nxt] = (node, sym)
+                queue.append(nxt)
+    return None
 
 
 def language_equiv(a: Automaton, b: Automaton) -> bool:
     """Exact language equality, by canonical minimal DFAs."""
-    symbols = tuple(sorted(a.alphabet | b.alphabet))
-    return _canonical(a, symbols) == _canonical(b, symbols)
+    return distinguishing_word(a, b) is None
 
 
 def distinguishing_word(a: Automaton, b: Automaton) -> tuple[str, ...] | None:
     """A shortest word accepted by exactly one of the two automata, or
     None when their languages coincide."""
-    symbols = tuple(sorted(a.alphabet | b.alphabet))
-    (ta, fa), (tb, fb) = _canonical(a, symbols), _canonical(b, symbols)
-    seen = {(0, 0)}
-    queue: deque[tuple[int, int, tuple[str, ...]]] = deque([(0, 0, ())])
-    while queue:
-        p, q, word = queue.popleft()
-        if fa[p] != fb[q]:
-            return word
-        for k, sym in enumerate(symbols):
-            nxt = (ta[k][p], tb[k][q])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((*nxt, word + (sym,)))
-    return None
+    return _difference(a._ix, b._ix, tuple(sorted(a.alphabet | b.alphabet)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +713,13 @@ def _merge_accepting(ix: _Ix) -> _Ix:
     new = [g] * len(ix.acc)
     for pos, i in enumerate(keep):
         new[i] = pos + (pos >= g)
-    merged = _Ix(names, ix.symbols)
-    for row, out in zip(ix.succ, merged.succ):
+    succ: list[list[tuple[int, ...]]] = []
+    for row in ix.succ:
+        out: list[tuple[int, ...]] = [(g,)] * len(names)
         for i in keep:
             out[new[i]] = tuple(sorted({new[j] for j in row[i]}))
-        out[g] = (g,)
-    merged.initial = new[ix.initial]
+        succ.append(out)
+    merged = _Ix(names, ix.symbols, succ, new[ix.initial], bytearray(len(names)))
     merged.acc[g] = 1
     return merged
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automata import _monitor_nfa, distinguishing_word, language_equiv
+from .automata import _difference, _Positions
 from .semantics import StepEngine, binder_map, verdicts_on
-from .terms import END, NO, SKIP, YES, Monitor, Prefix, Term, Verdict, fold, verdicts_in
+from .terms import END, NO, SKIP, YES, Monitor, Prefix, Term, Verdict, fold
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,23 @@ def verdict_equiv(
 ) -> EquivResult:
     """Exact verdict equivalence, one acceptance automaton per verdict.
 
+    Each monitor is compiled to its positions once; the verdicts differ
+    only in which states of its NFA accept.  The NFAs compared keep only
+    the targets of action steps as states, and a shortest trace they
+    disagree on is the witness.
+
     The `end` verdict marks deliberate abdication and is usually not an
     observable outcome worth separating on; pass include_end=True to
     compare it as well.  A verdict that neither monitor carries is
     flagged on no trace by either, so it is not compared.
     """
     verdicts = (YES, NO, END) if include_end else (YES, NO)
-    present = verdicts_in(m1) | verdicts_in(m2)
+    p1, p2 = _Positions(m1, alphabet), _Positions(m2, alphabet)
     for v in verdicts:
-        if v not in present:
-            continue
-        n1 = _monitor_nfa(m1, alphabet, v)
-        n2 = _monitor_nfa(m2, alphabet, v)
-        if not language_equiv(n1, n2):
-            return EquivResult(False, distinguishing_word(n1, n2), v)
+        if v in p1.verdicts or v in p2.verdicts:
+            witness = _difference(p1.nfa(v, weak=False), p2.nfa(v, weak=False), p1.symbols)
+            if witness is not None:
+                return EquivResult(False, witness, v)
     return EquivResult(True)
 
 

@@ -93,20 +93,9 @@ def binder_map(m: Term) -> dict[str, Rec]:
     return out
 
 
-def binders_apart(m: Term, alphabet: frozenset[str]) -> tuple[Term, dict[str, Rec]]:
-    """The term with its binder map.  When binder_map finds a name bound
-    twice, the binders are first renamed apart by well_form's rename
-    step; the renamed term flags the same verdicts on every trace."""
-    try:
-        return m, binder_map(m)
-    except TermError:
-        m = rename_apart(m, alphabet)
-        return m, binder_map(m)
-
-
 def _names_apart(m: Term, alphabet: frozenset[str]) -> Term:
     """The term with every binder's name its own: binders renamed apart
-    as binders_apart does, then each free variable that shares its name
+    (rename_apart), then each free variable that shares its name
     with a binder renamed after it with primes.  A free variable is
     stuck under any name, so the result flags the same verdicts on every
     trace."""
@@ -142,10 +131,9 @@ class StepEngine:
     differ on one of its free variables raises _Ambiguous (`derive` then
     renames the names apart and runs again).
 
-    Strong steps are computed once per term, except under a given binder
-    map; weak successor sets are cached per engine; iteration order
-    everywhere is deterministic (sorted actions, discovery order for
-    terms).
+    Strong steps are computed once per term and weak successor sets are
+    cached per engine; iteration order everywhere is deterministic
+    (sorted actions, discovery order for terms).
     """
 
     def __init__(
@@ -164,11 +152,7 @@ class StepEngine:
         self.cap = cap
         self._closure: dict[Term, tuple[Term, ...]] = {}
         self._weak: dict[tuple[Term, str], tuple[Term, ...]] = {}
-        # The automaton constructions, which pass a binder map, keep their
-        # own tables of states; they get the steps uncached.
-        self._steps: dict[Term, list[Step]] | None = (
-            None if binders is not None and system != "O" else {}
-        )
+        self._steps: dict[Term, list[Step]] = {}
         # Without a binder map, under "M"/"N": the innermost binder around
         # each term entered (None: none), the binder around each binder
         # stepped through, and the free variables of re-entered terms.
@@ -181,8 +165,6 @@ class StepEngine:
     # -- single steps ------------------------------------------------------
 
     def steps(self, m: Term) -> list[Step]:
-        if self._steps is None:
-            return self._strong(m)
         out = self._steps.get(m)
         if out is None:
             out = self._steps[m] = self._strong(m)

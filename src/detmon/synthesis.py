@@ -104,7 +104,9 @@ def msf(f: Formula) -> Monitor:
             if isinstance(g, Box):
                 return yes if kids[0] == yes else Prefix(g.action, kids[0])
             if isinstance(g, And):
-                ms = [m for m in kids if m != yes]
+                # Distinct conjuncts can give equal monitors; keep one, as
+                # mk_and keeps one conjunct when the monitor is read back.
+                ms = list(dict.fromkeys(m for m in kids if m != yes))
                 return mk_sum(ms) if ms else yes
             if isinstance(g, Max):
                 return yes if kids[0] == yes else Rec(vmap[g.var], kids[0])

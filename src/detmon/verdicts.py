@@ -12,10 +12,10 @@ marker may simply *become* ``no``, which is what the folding does.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import product
 from dataclasses import dataclass
 
-from .semantics import StepEngine, binders_apart
+from .automata import _Positions, _shortest_word
 from .terms import (
     NO,
     NO_MARKER,
@@ -24,7 +24,6 @@ from .terms import (
     Prefix,
     Rec,
     Sum,
-    Term,
     TermError,
     Verdict,
     actions_in,
@@ -111,40 +110,22 @@ def nu_inverse(m: Monitor) -> Monitor:
 
 def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
     """Can any single trace be flagged with both verdicts?  Breadth-first
-    product walk of the monitor against itself; the witness, when there
-    is one, is a shortest conflicted trace."""
-    m, binders = binders_apart(m, alphabet)
-    engine = StepEngine(alphabet, "N", binders)
+    product walk of the monitor's compiled positions against themselves;
+    the witness, when there is one, is a shortest conflicted trace."""
+    positions = _Positions(m, alphabet)
+    yes, no = positions.verdicts.get(YES), positions.verdicts.get(NO)
+    weak, start = positions.weak, positions.closure(positions.root)
 
-    def conflicted(pair: tuple[Term, Term]) -> bool:
+    def edges(pair: tuple[int, int]):
         p, q = pair
-        return {p, q} == {Verdict(YES), Verdict(NO)}
+        return [
+            (a, (p2, q2))
+            for k, a in enumerate(positions.symbols)
+            for p2 in weak(p, k) for q2 in weak(q, k)
+        ]
 
-    start_terms = engine.tau_closure(m)
-    parents: dict[tuple[Term, Term], tuple[tuple[Term, Term], str] | None] = {}
-    queue: deque[tuple[Term, Term]] = deque()
-    for p in start_terms:
-        for q in start_terms:
-            if (p, q) not in parents:
-                parents[(p, q)] = None
-                queue.append((p, q))
-    while queue:
-        pair = queue.popleft()
-        if conflicted(pair):
-            word: list[str] = []
-            cur: tuple[Term, Term] | None = pair
-            while parents[cur] is not None:
-                cur, a = parents[cur]
-                word.append(a)
-            return ConflictResult(True, tuple(reversed(word)))
-        p, q = pair
-        for a in sorted(alphabet):
-            for p2 in engine.weak_successors(p, a):
-                for q2 in engine.weak_successors(q, a):
-                    if (p2, q2) not in parents:
-                        parents[(p2, q2)] = (pair, a)
-                        queue.append((p2, q2))
-    return ConflictResult(False)
+    witness = _shortest_word(product(start, start), edges, {(yes, no), (no, yes)}.__contains__)
+    return ConflictResult(False) if witness is None else ConflictResult(True, witness)
 
 
 def _fold_marker(t: Monitor, kids) -> Monitor:

@@ -24,6 +24,7 @@ from detmon.terms import (
     Var,
     Verdict,
     YES,
+    fold,
     mk_and,
     mk_sum,
     verdicts_in,
@@ -71,6 +72,21 @@ def random_monitor(
         return Prefix(rng.choice(actions), go(budget - 1, bound))
 
     return go(budget, ())
+
+
+def scramble(rng: random.Random, m: Monitor) -> Monitor:
+    """`m` with every binder renamed to x or y and every variable to x, y
+    or z: names bound twice, variables left free, and free variables that
+    share a name with a binder elsewhere."""
+
+    def step(t, kids):
+        if isinstance(t, Rec):
+            return Rec(rng.choice("xy"), kids[0])
+        if isinstance(t, Var):
+            return Var(rng.choice("xyz"))
+        return t.rebuild(kids)
+
+    return fold(m, step)
 
 
 def random_two_verdict(

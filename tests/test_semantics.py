@@ -36,11 +36,10 @@ from detmon.terms import (
     Var,
     Verdict,
     YES,
-    fold,
     prefix_chain,
 )
 
-from gen import all_words, random_monitor, random_word
+from gen import all_words, random_monitor, random_word, scramble
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -135,21 +134,6 @@ def test_three_systems_agree_on_random_monitors(seed):
     for w in all_words(AB, 3):
         flags = {s: verdicts_on(m, w, AB, system=s) for s in ("O", "M", "N")}
         assert flags["O"] == flags["M"] == flags["N"], (m, w)
-
-
-def scramble(rng, m):
-    """`m` with every binder renamed to x or y and every variable to x, y
-    or z: names bound twice, variables left free, and free variables that
-    share a name with a binder elsewhere."""
-
-    def step(t, kids):
-        if isinstance(t, Rec):
-            return Rec(rng.choice("xy"), kids[0])
-        if isinstance(t, Var):
-            return Var(rng.choice("xyz"))
-        return t.rebuild(kids)
-
-    return fold(m, step)
 
 
 # Each is open, reuses a binder name, or both.  On the given trace, a

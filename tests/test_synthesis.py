@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from detmon.synthesis import monitor_to_formula, msf, pi, pi_inverse
 from detmon.syntax import parse_formula, parse_monitor, print_term
@@ -109,6 +109,8 @@ def test_monitor_to_formula_rejects_two_verdicts():
 
 
 @given(st.integers(0, 5_000))
+@example(1191)  # conjuncts [a][a]ff and [a]([a]tt & [a]ff) give one monitor
+@example(3483)
 def test_synthesis_round_trip_on_random_safety_formulas(seed):
     f = random_shml(random.Random(seed), 4)
     m = msf(f)
