@@ -60,6 +60,7 @@ from .logic import (
     parse_equation_system,
     solve_system,
     solve_system_simultaneous,
+    system_to_dfa,
     system_to_formula,
     to_standard_form,
 )

@@ -22,7 +22,6 @@ and can be overridden.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from itertools import chain, count
 from typing import Iterable, Union
 
 from .semantics import DEFAULT_CLOSURE_CAP, CapExceeded, _reach
+from .syntax import TRANSITION, comma_list, file_lines
 from .terms import (
     END,
     NO,
@@ -636,7 +636,9 @@ _MAX_PATHS = 1_000_000
 def _paths_monitor(ix: _Ix) -> Monitor:
     """Loop-free-path unfolding of an irrevocable automaton whose
     accepting states were already merged into one absorbing state, not
-    the initial one.  Binders are named x0, x1, ... in preorder."""
+    the initial one.  A path node becomes a binder only when a back-edge
+    names it; binders are named x0, x1, ... as their first back-edge is
+    met."""
     (goal,) = [i for i, f in enumerate(ix.acc) if f]
 
     # Keep only states that can still reach acceptance.
@@ -663,40 +665,43 @@ def _paths_monitor(ix: _Ix) -> Monitor:
         for s in range(len(ix.names))
     ]
 
-    def targets(path: tuple[int, ...]) -> list[int]:
+    # The states on the current path, each with its binder once a
+    # back-edge names it.  fold walks depth-first, so entering a state
+    # puts it on the path and building it takes it off.
+    on_path: dict[int, str | None] = {}
+
+    def targets(s: int) -> list[int]:
         # One extension per target, so parallel edges to it share a single
-        # Rec node (its variable stays singly bound).
-        return sorted({t for _, t in edges[path[-1]] if t != goal and t not in path})
+        # node (a binder in it stays singly bound).
+        return sorted({t for _, t in edges[s] if t != goal and t not in on_path})
 
-    calls = 0
-    fresh = count()
+    fresh, visits = count(), count(1)
 
-    def extensions(path: tuple[int, ...]) -> list[tuple[int, ...]]:
-        nonlocal calls
-        calls += 1
-        if calls > _MAX_PATHS:
+    def enter(s: int, env: None) -> None:
+        if next(visits) > _MAX_PATHS:
             raise CapExceeded("path unfolding grew past the internal limit")
-        return [path + (t,) for t in targets(path)]
+        on_path[s] = None
 
-    def enter(path: tuple[int, ...], binders: tuple[str, ...]) -> tuple[str, ...]:
-        return binders + (f"x{next(fresh)}",)
-
-    def build(path: tuple[int, ...], kids, binders: tuple[str, ...]) -> Monitor:
-        built = dict(zip(targets(path), kids))
+    def build(s: int, kids, env: None) -> Monitor:
+        built = dict(zip(targets(s), kids))
         summands: list[Monitor] = []
-        for sym, t in edges[path[-1]]:
+        for sym, t in edges[s]:
             if t == goal:
                 summands.append(Prefix(sym, Verdict(YES)))
             elif t in built:
                 summands.append(Prefix(sym, built[t]))
             else:
-                summands.append(Prefix(sym, Var(binders[path.index(t)])))
+                name = on_path[t]
+                if name is None:
+                    name = on_path[t] = f"x{next(fresh)}"
+                summands.append(Prefix(sym, Var(name)))
+        name = on_path.pop(s)
         if not summands:
             return Verdict(END)
-        return Rec(binders[-1], mk_sum(summands))
+        body = mk_sum(summands)
+        return body if name is None else Rec(name, body)
 
-    # Carrying the binder names down, fold keeps no finished path alive.
-    return fold((ix.initial,), build, enter, (), children=extensions)
+    return fold(ix.initial, build, enter, children=targets)
 
 
 def _merge_accepting(ix: _Ix) -> _Ix:
@@ -756,9 +761,6 @@ def dfa_to_monitor(d: Dfa, force: bool = False) -> Monitor:
 # Files
 # ---------------------------------------------------------------------------
 
-_TRANSITION = re.compile(r"^(\S+)\s*-(\S+?)->\s*(\S+)$")
-
-
 def parse_automaton(text: str) -> Automaton:
     kind = "nfa"
     states: list[str] = []
@@ -766,30 +768,22 @@ def parse_automaton(text: str) -> Automaton:
     initial: str | None = None
     accepting: list[str] = []
     transitions: list[tuple[str, str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for key in ("type", "states", "alphabet", "initial", "accepting"):
-            if line.startswith(key + ":"):
-                value = line[len(key) + 1:].strip()
-                if key == "type":
-                    if value not in ("nfa", "dfa"):
-                        raise TermError(f"automaton type must be nfa or dfa, not {value!r}")
-                    kind = value
-                elif key == "initial":
-                    initial = value
-                else:
-                    items = [v.strip() for v in value.split(",") if v.strip()]
-                    {"states": states, "alphabet": alphabet, "accepting": accepting}[
-                        key
-                    ].extend(items)
-                break
+    lists = {"states": states, "alphabet": alphabet, "accepting": accepting}
+    keys = ("type", "initial", *lists)
+    for _, raw, key, value in file_lines(text, keys):
+        if key == "type":
+            if value not in ("nfa", "dfa"):
+                raise TermError(f"automaton type must be nfa or dfa, not {value!r}")
+            kind = value
+        elif key == "initial":
+            initial = value
+        elif key is not None:
+            lists[key].extend(comma_list(value))
         else:
-            m = _TRANSITION.match(line)
+            m = TRANSITION.match(value)
             if m is None:
                 raise TermError(f"cannot parse automaton line: {raw!r}")
-            transitions.append((m.group(1), m.group(2), m.group(3)))
+            transitions.append(m.groups())
     if initial is None:
         raise TermError("automaton file needs an 'initial:' line")
     cls = Dfa if kind == "dfa" else Nfa

@@ -4,10 +4,13 @@ A safety formula can be flattened into a system of equations whose
 right-hand sides are *standard*: a conjunction of box modalities over
 system variables plus free variables, or ``ff``.  In that shape the
 system can be determinized subset-style (merging the targets of equal
-actions), and folded back into a single formula by eliminating equations
-from the last to the first.  Greatest fixpoints are solved for each
-equation in turn, which by Bekic's principle agrees with solving them
-simultaneously; both solvers are provided.
+actions).  A system in deterministic form is a DFA of the violating
+traces, its equations the states and its ``ff`` equations accepting; that
+automaton, minimized, is unfolded into a monitor and read back as a
+single formula, the tail the automata route of
+``pipeline.determinize_monitor`` runs too.  Greatest fixpoints are
+solved for each equation in turn, which by Bekic's principle agrees with
+solving them simultaneously; both solvers are provided.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .semantics import CapExceeded, Lts
-from .syntax import parse_formula, print_term
+from .automata import Dfa, dfa_to_monitor, minimize_dfa
+from .semantics import Lts
+from .synthesis import monitor_to_formula
+from .syntax import comma_list, file_lines, parse_formula, print_term
 from .terms import (
+    END,
     And,
     Box,
     Diamond,
@@ -31,7 +37,9 @@ from .terms import (
     TT,
     TermError,
     Var,
+    Verdict,
     dualize,
+    dualize_monitor,
     fold,
     free_vars,
     is_chml,
@@ -129,12 +137,6 @@ class EquationSystem:
                 raise TermError(
                     f"equation {n} mentions undeclared variables {sorted(loose)}"
                 )
-
-    def rhs(self, name: str) -> Formula:
-        for n, f in self.equations:
-            if n == name:
-                return f
-        raise KeyError(name)
 
     def names(self) -> list[str]:
         return [n for n, _ in self.equations]
@@ -311,11 +313,20 @@ def _standard_rhs(
     return StandardRhs(False, tuple(boxes), tuple(frees))
 
 
-def is_standard_form_system(sys: EquationSystem) -> bool:
+def _standard_system(sys: EquationSystem) -> list[StandardRhs]:
+    """Each equation's right-hand side in standard form, in order;
+    TermError when one is not standard."""
     defined = set(sys.names())
+    return [_standard_rhs(n, f, defined, sys.free) for n, f in sys.equations]
+
+
+def _deterministic(rhs: StandardRhs) -> bool:
+    return len({a for a, _ in rhs.boxes}) == len(rhs.boxes)
+
+
+def is_standard_form_system(sys: EquationSystem) -> bool:
     try:
-        for n, f in sys.equations:
-            _standard_rhs(n, f, defined, sys.free)
+        _standard_system(sys)
     except TermError:
         return False
     return True
@@ -323,16 +334,10 @@ def is_standard_form_system(sys: EquationSystem) -> bool:
 
 def is_deterministic_form_system(sys: EquationSystem) -> bool:
     """Standard, and no right-hand side boxes the same action twice."""
-    defined = set(sys.names())
     try:
-        for n, f in sys.equations:
-            rhs = _standard_rhs(n, f, defined, sys.free)
-            actions = [a for a, _ in rhs.boxes]
-            if len(set(actions)) != len(actions):
-                return False
+        return all(map(_deterministic, _standard_system(sys)))
     except TermError:
         return False
-    return True
 
 
 def formula_to_system(f: Formula) -> EquationSystem:
@@ -484,11 +489,8 @@ def determinize_system(sys: EquationSystem) -> EquationSystem:
     rewritten; fused equations are appended as they first arise.
     """
     names = sys.names()
-    defined = set(names)
     pos = {n: i for i, n in enumerate(names)}
-    parsed = [
-        _standard_rhs(n, f, defined, sys.free) for n, f in sys.equations
-    ]
+    parsed = _standard_system(sys)
 
     def info(Q: frozenset[int]) -> tuple[bool, list[tuple[str, frozenset[int]]], list[str]]:
         if any(parsed[i].is_ff for i in Q):
@@ -542,59 +544,48 @@ def determinize_system(sys: EquationSystem) -> EquationSystem:
 
 
 # ---------------------------------------------------------------------------
-# System -> formula
+# System -> automaton -> formula
 # ---------------------------------------------------------------------------
 
 
-def system_to_formula(sys: EquationSystem) -> Formula:
-    """Fold a deterministic-form system back into one formula by
-    eliminating equations from the last upward: each variable becomes a
-    greatest fixpoint over its right-hand side with all later variables
-    already replaced.
-
-    Each equation's free variables are tracked as it goes, by
-    fv(g[x:=phi]) = fv(g) - {x} | fv(phi), so a later variable is
-    substituted only where it is free.  The rule is exact here: defined
-    variables occur only right under boxes over distinct actions, so no
-    substitution simplifies a conjunct away, and every binder a
-    substitution plants is for a later variable than any the planted
-    formula has free, so nothing is captured."""
-    if not is_deterministic_form_system(sys):
+def system_to_dfa(sys: EquationSystem, alphabet: frozenset[str]) -> Dfa:
+    """The automaton of the traces that violate a closed deterministic-form
+    system: each equation is a state, the principal one initial; ``[a]X``
+    is an a-edge to X, and an ``ff`` equation accepts and loops on every
+    symbol.  A missing edge means the system holds from there on.
+    TermError on an open system (one with free variables), on one not in
+    deterministic form, and on a box over an action outside `alphabet`."""
+    if sys.free:
+        raise TermError(f"the system is open: free variables {sorted(sys.free)}")
+    parsed = _standard_system(sys)
+    if not all(map(_deterministic, parsed)):
         raise TermError("the system is not in deterministic form")
-    eqs = list(sys.equations)
-    eqs.sort(key=lambda e: e[0] != sys.principal)  # principal first, stable
-    phis: dict[str, tuple[Formula, frozenset[str]]] = {}
-    for i in range(len(eqs) - 1, -1, -1):
-        name, g = eqs[i]
-        fv = free_vars(g)
-        for j in range(len(eqs) - 1, i, -1):
-            later = eqs[j][0]
-            if later in fv:
-                phi, phi_fv = phis[later]
-                g = subst_formula(g, {later: phi})
-                fv = (fv - {later}) | phi_fv
-        phis[name] = (Max(name, g), fv - {name}) if name in fv else (g, fv)
-    return phis[eqs[0][0]][0]
+    names = sys.names()
+    accepting = frozenset(n for n, rhs in zip(names, parsed) if rhs.is_ff)
+    transitions = frozenset(
+        (n, a, t) for n, rhs in zip(names, parsed) for a, t in rhs.boxes
+    ) | {(n, a, n) for n in accepting for a in alphabet}
+    return Dfa(frozenset(names), alphabet, transitions, sys.principal, accepting)
 
 
-def _merged_system(f: Formula, cap: int | None) -> EquationSystem:
-    sys = determinize_system(formula_to_system(f))
-    if cap is not None and len(sys.equations) > cap:
-        raise CapExceeded(
-            f"{len(sys.equations)} merged equations exceeds the cap of {cap}; "
-            "pass force=True to fold anyway"
-        )
-    return sys
+def system_to_formula(sys: EquationSystem) -> Formula:
+    """Fold a closed deterministic-form system back into one formula: the
+    minimal automaton of its violations, unfolded into a rejection
+    monitor, read back.  TermError as for system_to_dfa."""
+    actions = frozenset(
+        t.action for _, f in sys.equations for t in subterms(f) if isinstance(t, Box)
+    )
+    m = dfa_to_monitor(minimize_dfa(system_to_dfa(sys, actions)), force=True)
+    return TT() if m == Verdict(END) else monitor_to_formula(dualize_monitor(m))
 
 
-def determinize_formula(f: Formula, cap: int | None = None) -> Formula:
+def determinize_formula(f: Formula) -> Formula:
     """End-to-end determinization on the formula side: flatten,
-    subset-merge, fold back.  Co-safety formulas run through duality.
-    CapExceeded when the merged system has more than `cap` equations."""
+    subset-merge, fold back.  Co-safety formulas run through duality."""
     if is_shml(f):
-        return system_to_formula(_merged_system(f, cap))
+        return system_to_formula(determinize_system(formula_to_system(f)))
     if is_chml(f):
-        return dualize(system_to_formula(_merged_system(dualize(f), cap)))
+        return dualize(determinize_formula(dualize(f)))
     raise FragmentError("determinization is defined per fragment; mixed formula")
 
 
@@ -643,22 +634,15 @@ def parse_equation_system(text: str) -> tuple[EquationSystem, frozenset[str]]:
     principal: str | None = None
     free: frozenset[str] = frozenset()
     raw_eqs: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("alphabet:"):
-            alphabet = frozenset(
-                a.strip() for a in line[len("alphabet:"):].split(",") if a.strip()
-            )
-        elif line.startswith("principal:"):
-            principal = line[len("principal:"):].strip()
-        elif line.startswith("free:"):
-            free = frozenset(
-                v.strip() for v in line[len("free:"):].split(",") if v.strip()
-            )
-        elif "=" in line:
-            name, rhs = line.split("=", 1)
+    for _, raw, key, value in file_lines(text, ("alphabet", "principal", "free")):
+        if key == "alphabet":
+            alphabet = frozenset(comma_list(value))
+        elif key == "principal":
+            principal = value
+        elif key == "free":
+            free = frozenset(comma_list(value))
+        elif "=" in value:
+            name, rhs = value.split("=", 1)
             raw_eqs.append((name.strip(), rhs.strip()))
         else:
             raise TermError(f"cannot parse equation line: {raw!r}")

@@ -6,15 +6,17 @@ Two independent routes arrive at a deterministic monitor:
   unfold back into a monitor.  Works for any single-verdict monitor and
   is the default.
 * ``equations`` — through the logic side: read the monitor back as a
-  formula, determinize the formula via its equation system, synthesize
-  again.  Requires the monitor to be end-free.
+  formula (dualized first for a ``yes`` monitor), flatten it into an
+  equation system and merge that into deterministic form, whose
+  equations are the states of a DFA.  Requires the monitor to be
+  end-free.
 
-Both can blow up exponentially; caps keep accidents cheap and
-``force=True`` lifts them.  Both routes cap the size of the deterministic
-object they build at ``DFA_MONITOR_CAP``: the minimal DFA's states, or
-the merged equation system's equations.  ``bench`` runs either witness
-family across a range of sizes with a per-stage timeout and reports CSV
-rows.
+The routes differ only in how they build the DFA; both then minimize
+it, unfold the minimal DFA into a monitor and dualize that for ``no``.
+The unfolding can blow up exponentially, so it refuses minimal DFAs of
+more than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
+lifts the cap.  ``bench`` runs either witness family across a range of
+sizes with a per-stage timeout and reports CSV rows.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ import time
 from typing import Callable
 
 from .automata import (
-    DFA_MONITOR_CAP,
     dfa_to_monitor,
     minimize_dfa,
     monitor_to_nfa,
     subset_construction,
 )
 from .families import ALPHABET_01E, mn_monitor, un_monitor
-from .logic import determinize_formula
+from .logic import determinize_system, formula_to_system, system_to_dfa
 from .semantics import CapExceeded
-from .synthesis import monitor_to_formula, msf
+from .synthesis import monitor_to_formula
 from .terms import (
     END,
     NO,
@@ -41,6 +42,7 @@ from .terms import (
     Monitor,
     TermError,
     Verdict,
+    dualize,
     dualize_monitor,
     eliminate_verdict_sums,
     size,
@@ -79,10 +81,12 @@ def determinize_monitor(
         # while a verdict inside a choice only flags after one more
         # action.  The expansion makes the two readings line up.
         f = monitor_to_formula(eliminate_verdict_sums(m, alphabet))
-        return msf(determinize_formula(f, cap=None if force else DFA_MONITOR_CAP))
-
-    nfa = monitor_to_nfa(m, verdict, alphabet)
-    det = dfa_to_monitor(minimize_dfa(subset_construction(nfa)), force=force)
+        if verdict == YES:
+            f = dualize(f)
+        dfa = system_to_dfa(determinize_system(formula_to_system(f)), alphabet)
+    else:
+        dfa = subset_construction(monitor_to_nfa(m, verdict, alphabet))
+    det = dfa_to_monitor(minimize_dfa(dfa), force=force)
     return det if verdict == YES else dualize_monitor(det)
 
 

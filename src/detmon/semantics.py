@@ -19,9 +19,9 @@ throughout.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, NamedTuple
 
+from .syntax import TRANSITION, comma_list, file_lines
 from .terms import (
     NO,
     TAU,
@@ -372,26 +372,20 @@ class Lts:
         return _reach(moved, lambda s: self.succ(s, TAU))
 
 
-_TRANSITION_RE = re.compile(r"^(\S+)\s*-(\S+?)->\s*(\S+)$")
-
-
 def parse_lts(text: str) -> Lts:
     states: list[str] = []
     init: str | None = None
     transitions: list[tuple[str, str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("states:"):
-            states = [s.strip() for s in line[len("states:"):].split(",") if s.strip()]
-        elif line.startswith("init:"):
-            init = line[len("init:"):].strip()
+    for _, raw, key, value in file_lines(text, ("states", "init")):
+        if key == "states":
+            states = comma_list(value)
+        elif key == "init":
+            init = value
         else:
-            m = _TRANSITION_RE.match(line)
+            m = TRANSITION.match(value)
             if m is None:
                 raise ValueError(f"cannot parse LTS line: {raw!r}")
-            transitions.append((m.group(1), m.group(2), m.group(3)))
+            transitions.append(m.groups())
     if not states:
         raise ValueError("LTS file needs a 'states:' line")
     if init is None:
@@ -460,6 +454,8 @@ def monitored_step(
 def _reaches_verdict(
     m: Term, lts: Lts, state: str, alphabet: frozenset[str], verdict: str
 ) -> bool:
+    if state not in lts.states:
+        raise ValueError(f"unknown start state {state!r}")
     engine = StepEngine(alphabet, "O")
 
     def moves(cfg: tuple[Term, str]) -> list[tuple[Term, str]]:
@@ -469,12 +465,14 @@ def _reaches_verdict(
 
 
 def acc(m: Term, lts: Lts, state: str, alphabet: frozenset[str]) -> bool:
-    """Can the instrumented system reach an accepting configuration?"""
+    """Can the instrumented system reach an accepting configuration?
+    ValueError when `state` is not a state of the LTS."""
     return _reaches_verdict(m, lts, state, alphabet, YES)
 
 
 def rej(m: Term, lts: Lts, state: str, alphabet: frozenset[str]) -> bool:
-    """Can the instrumented system reach a rejecting configuration?"""
+    """Can the instrumented system reach a rejecting configuration?
+    ValueError when `state` is not a state of the LTS."""
     return _reaches_verdict(m, lts, state, alphabet, NO)
 
 

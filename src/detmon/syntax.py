@@ -14,6 +14,7 @@ Files carry a header line ``alphabet: a, b`` followed by a single term.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .terms import (
     NO_MARKER,
@@ -332,26 +333,42 @@ def print_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _split_file(text: str) -> tuple[frozenset[str], str]:
-    lines = text.splitlines()
-    alphabet: frozenset[str] | None = None
-    body_start = 0
-    for idx, line in enumerate(lines):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+# A transition line of an LTS or automaton file: ``src -label-> dst``.
+TRANSITION = re.compile(r"^(\S+)\s*-(\S+?)->\s*(\S+)$")
+
+
+def file_lines(
+    text: str, keys: tuple[str, ...]
+) -> Iterator[tuple[int, str, str | None, str]]:
+    """The content lines of a file, ``#`` comments cut and blank lines
+    skipped, as (index, raw line, key, value).  A line that starts with a
+    member of `keys` and a colon gives that key and the rest of the line
+    stripped; any other line gives None and the whole stripped line."""
+    for idx, raw in enumerate(text.splitlines()):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if stripped.startswith("alphabet:"):
-            names = [a.strip() for a in stripped[len("alphabet:"):].split(",")]
-            names = [a for a in names if a]
-            if not names:
-                raise TermError("empty alphabet declaration")
-            alphabet = frozenset(names)
-            body_start = idx + 1
-            break
-        raise TermError("the file must start with an 'alphabet:' line")
-    if alphabet is None:
-        raise TermError("missing 'alphabet:' line")
-    return alphabet, "\n".join(lines[body_start:])
+        key, colon, value = line.partition(":")
+        if colon and key in keys:
+            yield idx, raw, key, value.strip()
+        else:
+            yield idx, raw, None, line
+
+
+def comma_list(value: str) -> list[str]:
+    """The non-empty comma-separated items of a header value, stripped."""
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _split_file(text: str) -> tuple[frozenset[str], str]:
+    for idx, _, key, value in file_lines(text, ("alphabet",)):
+        if key is None:
+            raise TermError("the file must start with an 'alphabet:' line")
+        names = comma_list(value)
+        if not names:
+            raise TermError("empty alphabet declaration")
+        return frozenset(names), "\n".join(text.splitlines()[idx + 1:])
+    raise TermError("missing 'alphabet:' line")
 
 
 def parse_monitor_file(

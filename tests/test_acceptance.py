@@ -164,7 +164,7 @@ def test_c06_determinized_monitors_grow_fast(capsys):
             assert is_deterministic(det), n
             assert verdict_equiv(mon, det, ALPHABET_01E), n
             sizes[n] = size(det)
-        assert sizes == {1: 14, 2: 35, 3: 164}
+        assert sizes == {1: 14, 2: 33, 3: 150}
         assert sizes[2] / sizes[1] > 2
         assert sizes[3] / sizes[2] > 4
 

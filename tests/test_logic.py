@@ -21,22 +21,28 @@ from detmon.logic import (
     parse_equation_system,
     solve_system,
     solve_system_simultaneous,
+    system_to_dfa,
     system_to_formula,
     to_standard_form,
 )
+from detmon.automata import format_automaton
+from detmon.equivalence import verdict_equiv
 from detmon.families import mn_monitor
 from detmon.semantics import parse_lts
-from detmon.synthesis import monitor_to_formula
+from detmon.synthesis import monitor_to_formula, msf
 from detmon.syntax import parse_formula, print_term
 from detmon.terms import (
+    END,
     Max,
     NO,
     TermError,
+    Verdict,
     YES,
     dualize,
     eliminate_verdict_sums,
     free_vars,
     is_shml,
+    size,
     subst_formula,
     well_form,
 )
@@ -303,8 +309,51 @@ def merged_systems():
     return [determinize_system(formula_to_system(f)) for f in formulas]
 
 
-def test_system_to_formula_matches_the_quadratic_elimination():
+def rejections(m):
+    """A synthesized safety monitor with its only possible `yes`, the
+    whole monitor of a formula that always holds, read as flagging
+    nothing: both then flag `no` alone."""
+    return Verdict(END) if m == Verdict(YES) else m
+
+
+def test_system_to_formula_agrees_with_the_quadratic_elimination():
+    """Same rejections from the monitors both formulas synthesize to, and
+    never a larger monitor."""
     systems = merged_systems()
     assert max(len(s.equations) for s in systems) >= 8
+    alphabet = AB | {"0", "1", "e"}
+    ours = reference = 0
     for sys in systems:
-        assert print_term(system_to_formula(sys)) == print_term(quadratic_system_to_formula(sys))
+        m = msf(system_to_formula(sys))
+        ref = msf(quadratic_system_to_formula(sys))
+        equiv = verdict_equiv(rejections(m), rejections(ref), alphabet)
+        assert equiv, format_equation_system(sys, alphabet)
+        assert size(m) <= size(ref), format_equation_system(sys, alphabet)
+        ours, reference = ours + size(m), reference + size(ref)
+    assert ours < reference
+
+
+def test_system_to_dfa_of_the_running_example():
+    det = determinize_system(formula_to_system(phi_e()))
+    assert format_automaton(system_to_dfa(det, A)) == (
+        "type: dfa\n"
+        "states: X, X_1, X_1_2, X_2\n"
+        "alphabet: a\n"
+        "initial: X\n"
+        "accepting: X_1_2, X_2\n"
+        "X -a-> X_1\n"
+        "X_1 -a-> X_1_2\n"
+        "X_1_2 -a-> X_1_2\n"
+        "X_2 -a-> X_2\n"
+    )
+
+
+def test_system_to_dfa_rejects_open_and_nondeterministic_systems():
+    open_sys, _ = parse_equation_system(
+        "alphabet: a\nprincipal: X\nfree: Y\nX = [a]X & Y\n"
+    )
+    for fold_back in (lambda s: system_to_dfa(s, A), system_to_formula):
+        with pytest.raises(TermError, match="the system is open"):
+            fold_back(open_sys)
+    with pytest.raises(TermError, match="not in deterministic form"):
+        system_to_dfa(example_system()[0], A)

@@ -1,17 +1,19 @@
 """The end-to-end determinization routes, the bench harness, and the CLI."""
 
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from detmon import cli
 from detmon.automata import language_equiv, monitor_to_nfa
 from detmon.equivalence import verdict_equiv
-from detmon.families import ALPHABET_01E, mn_monitor
+from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
 from detmon.pipeline import BENCH_COLUMNS, bench, bench_csv, determinize_monitor
 from detmon.semantics import CapExceeded, is_deterministic
 from detmon.syntax import format_term_file, parse_monitor, parse_monitor_file, print_term
-from detmon.terms import END, NO, YES, TermError, Verdict, verdicts_in, well_form
+from detmon.terms import END, NO, YES, TermError, Verdict, size, verdicts_in, well_form
 from detmon.verdicts import is_conflicting
 
 from gen import random_monitor
@@ -44,17 +46,16 @@ def test_running_example_both_routes():
     m_e = parse_monitor("rec x. a.(a.no + x)", A)
     via_automata = determinize_monitor(m_e, A, method="automata")
     via_equations = determinize_monitor(m_e, A, method="equations")
-    assert print_term(via_automata) == "rec x0. a.(rec x1. a.no)"
-    assert print_term(via_equations) == "a.a.no"
-    for out in (via_automata, via_equations):
-        assert is_deterministic(out)
-        assert verdict_equiv(m_e, out, A)
+    assert print_term(via_automata) == print_term(via_equations) == "a.a.no"
+    assert is_deterministic(via_automata)
+    assert verdict_equiv(m_e, via_automata, A)
 
 
-def test_equations_route_caps_the_merged_system(tmp_path, capsys):
-    m4 = mn_monitor(4)
-    with pytest.raises(CapExceeded, match="merged equations exceeds the cap of 12"):
-        determinize_monitor(m4, ALPHABET_01E, method="equations")
+def test_both_routes_cap_the_minimal_dfa(tmp_path, capsys):
+    m4 = mn_monitor(4)  # its minimal DFA has 2^4 + 2 = 18 states
+    for method in ("automata", "equations"):
+        with pytest.raises(CapExceeded, match="18 states exceeds the cap of 12"):
+            determinize_monitor(m4, ALPHABET_01E, method=method)
     m_e = parse_monitor("rec x. a.(a.no + x)", A)
     for force in (False, True):
         out = determinize_monitor(m_e, A, method="equations", force=force)
@@ -62,7 +63,22 @@ def test_equations_route_caps_the_merged_system(tmp_path, capsys):
     path = _mfile(tmp_path, "m4.mon", format_term_file(m4, ALPHABET_01E))
     assert cli.main(["determinize", path, "--method", "equations"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "merged equations" in captured.err
+    assert captured.out == "" and "18 states exceeds the cap of 12" in captured.err
+
+
+def test_equations_route_with_force_finishes_m4():
+    m4 = mn_monitor(4)
+    start = time.perf_counter()
+    d2 = determinize_monitor(m4, ALPHABET_01E, method="equations", force=True)
+    assert time.perf_counter() - start < 1.0
+    assert size(d2) == 2237
+
+
+def _routes(m, alphabet):
+    d1 = determinize_monitor(m, alphabet, method="automata", force=True)
+    d2 = determinize_monitor(m, alphabet, method="equations", force=True)
+    assert d1 == d2, print_term(m)
+    return d1
 
 
 def test_routes_agree_on_random_monitors():
@@ -72,14 +88,44 @@ def test_routes_agree_on_random_monitors():
         m = random_monitor(rng, rng.randint(1, 8), AB, verdicts=(YES,))
         if YES not in verdicts_in(m):
             continue
-        d1 = determinize_monitor(m, AB, method="automata", force=True)
-        d2 = determinize_monitor(m, AB, method="equations")
+        d1 = _routes(m, AB)
         assert is_deterministic(d1), print_term(m)
-        assert is_deterministic(d2), print_term(m)
         assert verdict_equiv(m, d1, AB), print_term(m)
-        assert verdict_equiv(d1, d2, AB), print_term(m)
         done += 1
     assert done >= 100
+
+
+@pytest.mark.parametrize("build, n", [
+    (mn_monitor, 1), (mn_monitor, 2), (mn_monitor, 3), (mn_monitor, 4),
+    (un_monitor, 2), (un_monitor, 3),
+])
+def test_routes_give_equal_monitors_on_the_witness_families(build, n):
+    m = build(n)
+    d = _routes(m, ALPHABET_01E)
+    assert verdict_equiv(m, d, ALPHABET_01E)
+
+
+@pytest.mark.parametrize("seed", [101, 102])
+def test_routes_give_equal_monitors_on_the_benchmark_routes_inputs(seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    items = workloads.setup_routes(seed)
+    assert len(items) == 300
+    for item in items:
+        _routes(item.monitor, item.alphabet)
+
+
+def test_routes_give_equal_small_monitors_where_substitution_blew_up():
+    # 26 merged equations: folding them by substitution, without sharing,
+    # gave 30,744 nodes on the equations route.
+    m = parse_monitor(
+        "b.(rec r0. b.a.a.b.r0 + b.(b.a.b.(b.b.b.b.yes + b.a.r0)"
+        " + b.(a.a.b.r0 + b.b.r0)))", AB,
+    )
+    d = _routes(m, AB)
+    assert size(d) == 25
+    assert verdict_equiv(m, d, AB)
 
 
 def test_no_verdict_monitors_are_dualized_back():
@@ -103,7 +149,7 @@ def test_bench_rows_have_the_documented_shape():
         assert row["status"] == "ok"
     assert [r["subset_states"] for r in rows] == [4, 6, 10]
     assert [r["min_dfa_states"] for r in rows] == [4, 6, 10]  # 2^n + 2
-    assert [r["det_monitor_size"] for r in rows] == [14, 35, 164]
+    assert [r["det_monitor_size"] for r in rows] == [14, 33, 150]
 
 
 def test_bench_unknown_family():
@@ -244,6 +290,14 @@ def test_cli_simulate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "acc: True" in out
     assert "rej: False" in out
+
+
+def test_cli_simulate_rejects_an_unknown_start_state(tmp_path, capsys):
+    m = _mfile(tmp_path, "m.mon", "alphabet: a,b\na.a.yes\n")
+    lts = _mfile(tmp_path, "p.lts", "states: s0\ninit: s0\ns0 -a-> s0\n")
+    assert cli.main(["simulate", "--monitor", m, "--lts", lts, "--state", "zz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown start state 'zz'" in captured.err
 
 
 def test_cli_bench_writes_csv(tmp_path, capsys):

@@ -262,6 +262,13 @@ def test_rejection_of_bad_server():
     assert not acc(m, parse_lts(BAD_SERVER), "t0", SERVER)
 
 
+def test_acc_and_rej_reject_an_unknown_start_state():
+    m, lts = server_monitor(), parse_lts(GOOD_SERVER)
+    for check in (acc, rej):
+        with pytest.raises(ValueError, match="unknown start state 'zz'"):
+            check(m, lts, "zz", SERVER)
+
+
 def test_monitored_step_rules():
     lts = parse_lts(GOOD_SERVER)
     m = server_monitor()
