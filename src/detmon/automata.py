@@ -10,19 +10,18 @@ automata after canonical renaming.
 
 Every operation runs on one indexed form, built once per automaton: states
 are dense integers, each symbol has one successor list, and acceptance is
-a bitmap.  State names are made only when an automaton is materialized.
+a bitmap.  A stage's output names its states only when its fields are read.
 
 The way back — an automaton as a monitor — requires the automaton to be
 *irrevocable* (acceptance can never be escaped), mirroring how a verdict
-can never be retracted.  All accepting states then collapse into a single
-absorbing one and every loop-free path becomes a recursion binder, which
-is exponential in general; small caps guard against accidental blow-ups
+can never be retracted.  All accepting states then act as a single
+absorbing one and every loop-free path is written out, which is
+exponential in general; small caps guard against accidental blow-ups
 and can be overridden.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, count
@@ -112,9 +111,9 @@ def _materialize(
     succ: list[list[tuple[int, ...]]], acc: bytearray,
 ) -> Automaton:
     """The automaton of a table whose state i is called names[i], 0
-    initial.  The table, renumbered in sorted name order, becomes its
-    index; names that collide (subset names made of names that hold '+')
-    take the checked constructor."""
+    initial: its index is the table renumbered in sorted name order, and
+    its fields are named on first read.  Names that collide (subset names
+    made of names that hold '+') take the checked constructor."""
     perm = sorted(range(len(names)), key=names.__getitem__)
     new = [0] * len(perm)
     for pos, i in enumerate(perm):
@@ -125,21 +124,27 @@ def _materialize(
         for row in succ
     ]
     ix = _Ix([names[i] for i in perm], symbols, rows, new[0], bytearray(acc[i] for i in perm))
-    names, initial = ix.names, ix.names[ix.initial]
-    states = frozenset(names)
-    transitions = frozenset(
-        (names[i], y, names[j])
-        for y, row in zip(symbols, rows) for i, targets in enumerate(row) for j in targets
-    )
-    accepting = frozenset(names[i] for i, f in enumerate(ix.acc) if f)
-    if len(states) != len(names):
-        return cls(states, alphabet, transitions, initial, accepting)
     a = object.__new__(cls)
-    a.__dict__.update(
-        states=states, alphabet=alphabet, transitions=transitions,
-        initial=initial, accepting=accepting, _ix=ix,
-    )
+    a.__dict__.update(alphabet=alphabet, _ix=ix)
+    if len(ix.ids) != len(names):
+        return cls(a.states, alphabet, a.transitions, a.initial, a.accepting)
     return a
+
+
+def _named_field(a: Automaton, field: str):
+    """A named field of a materialized automaton: all four are made from
+    its index when the first is read."""
+    ix = a.__dict__.get("_ix")
+    if ix is None or field not in ("states", "transitions", "initial", "accepting"):
+        raise AttributeError(field)
+    n = ix.names
+    arcs = ((n[i], y, n[j])
+            for y, row in zip(ix.symbols, ix.succ) for i, ts in enumerate(row) for j in ts)
+    a.__dict__.update(
+        states=frozenset(n), transitions=frozenset(arcs), initial=n[ix.initial],
+        accepting=frozenset(n[i] for i, f in enumerate(ix.acc) if f),
+    )
+    return a.__dict__[field]
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,8 @@ class Nfa:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_ix", _index(self, deterministic=False))
+
+    __getattr__ = _named_field
 
     def succ(self, state: str, symbol: str) -> list[str]:
         ix = self._ix
@@ -174,6 +181,8 @@ class Dfa:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_ix", _index(self, deterministic=True))
+
+    __getattr__ = _named_field
 
     def delta(self) -> dict[tuple[str, str], str]:
         return {(s, y): d for s, y, d in self.transitions}
@@ -420,39 +429,40 @@ _Table = list[list[int]]
 
 def _determinize(
     ix: _Ix, symbols: tuple[str, ...]
-) -> tuple[list[frozenset[int]], _Table, bytearray]:
+) -> tuple[list[int | frozenset[int]], _Table, bytearray]:
     """Reachable-subset construction over `symbols`, which may hold
     symbols the automaton lacks: the subsets in the order found, the
-    start first; their table, the empty subset left out as -1; and which
-    subsets accept."""
-    rows = []
-    for y in symbols:
-        k = ix.column.get(y)
-        rows.append(None if k is None else [frozenset(t) for t in ix.succ[k]])
-    start = frozenset((ix.initial,))
-    number = {start: 0}
-    subsets = [start]
+    start first, one state as its number and more as a frozenset; their
+    table, the empty subset left out as -1; and which subsets accept.
+    Successor lists become frozensets only at the first larger subset."""
+    none = [()] * len(ix.acc)
+    rows = [ix.succ[k] if (k := ix.column.get(y)) is not None else none for y in symbols]
+    number: dict[int | frozenset[int], int] = {ix.initial: 0}
+    subsets: list[int | frozenset[int]] = [ix.initial]
     table: _Table = [[] for _ in symbols]
+    sets = False
     for subset in subsets:
+        single = type(subset) is int
+        if not (single or sets):
+            rows, sets = [[frozenset(t) for t in row] for row in rows], True
         for row, out in zip(rows, table):
-            if row is None:
+            key = row[subset] if single else frozenset().union(*[row[q] for q in subset])
+            if len(key) == 1:
+                (key,) = key
+            elif not key:
                 out.append(-1)
                 continue
-            if len(subset) == 1:
-                (q,) = subset
-                target = row[q]
-            else:
-                target = frozenset().union(*[row[q] for q in subset])
-            if not target:
-                out.append(-1)
-                continue
-            t = number.get(target)
+            elif not sets:
+                key = frozenset(key)
+            t = number.get(key)
             if t is None:
-                t = number[target] = len(subsets)
-                subsets.append(target)
+                t = number[key] = len(subsets)
+                subsets.append(key)
             out.append(t)
     accepting = {q for q, f in enumerate(ix.acc) if f}
-    return subsets, table, bytearray(not accepting.isdisjoint(s) for s in subsets)
+    return subsets, table, bytearray(
+        ix.acc[s] if type(s) is int else not accepting.isdisjoint(s) for s in subsets
+    )
 
 
 def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytearray]:
@@ -551,7 +561,8 @@ def subset_construction(a: Nfa) -> Dfa:
     members' names in sorted order, joined with '+'."""
     ix = a._ix
     subsets, table, acc = _determinize(ix, ix.symbols)
-    names = ["+".join([ix.names[q] for q in sorted(s)]) for s in subsets]
+    n = ix.names
+    names = [n[s] if type(s) is int else "+".join([n[q] for q in sorted(s)]) for s in subsets]
     return _materialize(Dfa, names, a.alphabet, ix.symbols, _as_succ(table), acc)
 
 
@@ -570,17 +581,11 @@ def minimize_dfa(d: Dfa) -> Dfa:
     return _materialize(Dfa, names, d.alphabet, ix.symbols, _as_succ(out), acc)
 
 
-def _canonical(ix: _Ix, symbols: tuple[str, ...]) -> tuple[_Table, bytearray]:
-    """The canonical minimal table of an index's language over `symbols`."""
-    _, table, acc = _determinize(ix, symbols)
-    return _minimal(table, acc, 0)
-
-
 def _difference(a: _Ix, b: _Ix, symbols: tuple[str, ...]) -> tuple[str, ...] | None:
     """A shortest word over `symbols` accepted by exactly one of two
     indexes, or None when their languages coincide: the canonical minimal
     tables are compared, then searched breadth-first in product."""
-    (ta, fa), (tb, fb) = _canonical(a, symbols), _canonical(b, symbols)
+    (ta, fa), (tb, fb) = [_minimal(*_determinize(x, symbols)[1:], 0) for x in (a, b)]
     if (ta, fa) == (tb, fb):
         return None
 
@@ -633,23 +638,35 @@ DFA_MONITOR_CAP = 12
 _MAX_PATHS = 1_000_000
 
 
-def _paths_monitor(ix: _Ix) -> Monitor:
-    """Loop-free-path unfolding of an irrevocable automaton whose
-    accepting states were already merged into one absorbing state, not
-    the initial one.  A path node becomes a binder only when a back-edge
-    names it; binders are named x0, x1, ... as their first back-edge is
-    met."""
-    (goal,) = [i for i, f in enumerate(ix.acc) if f]
+def _unfold(ix: _Ix, cap: int, force: bool) -> Monitor:
+    """The loop-free-path unfolding of an irrevocable automaton's index,
+    its accepting states read as one absorbing goal: TermError when
+    acceptance can be escaped, CapExceeded above `cap` states unless
+    forced.
+
+    A state's edges, and so its children, come in edge order: by symbol,
+    and on one symbol the goal first, then the other targets by state.  A
+    path node becomes a binder only when a back-edge names it; binders
+    are named x0, x1, ... as their first back-edge is met, so on a DFA
+    the output does not depend on how the states are numbered."""
+    if _escapes(ix):
+        raise TermError("the automaton is not irrevocable; close it first")
+    acc = ix.acc
+    if len(acc) > cap and not force:
+        raise CapExceeded(
+            f"{len(acc)} states exceeds the cap of {cap}; pass force=True to unfold anyway"
+        )
+    if acc[ix.initial]:
+        return Verdict(YES)
 
     # Keep only states that can still reach acceptance.
-    rev: list[list[int]] = [[] for _ in ix.names]
+    rev: list[list[int]] = [[] for _ in acc]
     for row in ix.succ:
         for s, targets in enumerate(row):
             for t in targets:
                 rev[t].append(s)
-    live = bytearray(len(ix.names))
-    live[goal] = 1
-    stack = [goal]
+    live = bytearray(acc)
+    stack = [i for i, f in enumerate(acc) if f]
     while stack:
         for p in rev[stack.pop()]:
             if not live[p]:
@@ -658,12 +675,13 @@ def _paths_monitor(ix: _Ix) -> Monitor:
     if not live[ix.initial]:
         return Verdict(END)
 
-    # Each state's edges into live states, by symbol, then by target name.
-    edges = [
-        [(y, t) for y, row in zip(ix.symbols, ix.succ) for t in row[s] if live[t]]
-        if live[s] else []
-        for s in range(len(ix.names))
-    ]
+    # Each state's edges into live states, in edge order; the goal is -1.
+    edges: list[list[tuple[str, int]]] = [[] for _ in acc]
+    for s, out in enumerate(edges):
+        for y, row in zip(ix.symbols, ix.succ) if live[s] and not acc[s] else ():
+            if any(acc[t] for t in row[s]):
+                out.append((y, -1))
+            out.extend((y, t) for t in row[s] if live[t] and not acc[t])
 
     # The states on the current path, each with its binder once a
     # back-edge names it.  fold walks depth-first, so entering a state
@@ -673,7 +691,7 @@ def _paths_monitor(ix: _Ix) -> Monitor:
     def targets(s: int) -> list[int]:
         # One extension per target, so parallel edges to it share a single
         # node (a binder in it stays singly bound).
-        return sorted({t for _, t in edges[s] if t != goal and t not in on_path})
+        return list(dict.fromkeys(t for _, t in edges[s] if t >= 0 and t not in on_path))
 
     fresh, visits = count(), count(1)
 
@@ -686,7 +704,7 @@ def _paths_monitor(ix: _Ix) -> Monitor:
         built = dict(zip(targets(s), kids))
         summands: list[Monitor] = []
         for sym, t in edges[s]:
-            if t == goal:
+            if t < 0:
                 summands.append(Prefix(sym, Verdict(YES)))
             elif t in built:
                 summands.append(Prefix(sym, built[t]))
@@ -704,57 +722,17 @@ def _paths_monitor(ix: _Ix) -> Monitor:
     return fold(ix.initial, build, enter, children=targets)
 
 
-def _merge_accepting(ix: _Ix) -> _Ix:
-    """Collapse all accepting states into one absorbing state, named
-    ``Y`` (with underscores added until fresh).  Language is preserved
-    exactly when the automaton is irrevocable."""
-    goal = "Y"
-    while goal in ix.ids:
-        goal += "_"
-    keep = [i for i, f in enumerate(ix.acc) if not f]
-    names = [ix.names[i] for i in keep]
-    g = bisect_left(names, goal)
-    names.insert(g, goal)
-    new = [g] * len(ix.acc)
-    for pos, i in enumerate(keep):
-        new[i] = pos + (pos >= g)
-    succ: list[list[tuple[int, ...]]] = []
-    for row in ix.succ:
-        out: list[tuple[int, ...]] = [(g,)] * len(names)
-        for i in keep:
-            out[new[i]] = tuple(sorted({new[j] for j in row[i]}))
-        succ.append(out)
-    merged = _Ix(names, ix.symbols, succ, new[ix.initial], bytearray(len(names)))
-    merged.acc[g] = 1
-    return merged
-
-
 def nfa_to_monitor(a: Automaton, force: bool = False) -> Monitor:
     """An acceptance monitor recognising the language of an irrevocable
     NFA.  Exponential in the worst case; refuses automata above
     NFA_MONITOR_CAP states unless forced."""
-    if not is_irrevocable(a):
-        raise TermError("the automaton is not irrevocable; close it first")
-    if len(a.states) > NFA_MONITOR_CAP and not force:
-        raise CapExceeded(
-            f"{len(a.states)} states exceeds the cap of {NFA_MONITOR_CAP}; "
-            "pass force=True to unfold anyway"
-        )
-    if not a.accepting:
-        return Verdict(END)
-    if a.initial in a.accepting:
-        return Verdict(YES)
-    return _paths_monitor(_merge_accepting(a._ix))
+    return _unfold(a._ix, NFA_MONITOR_CAP, force)
 
 
 def dfa_to_monitor(d: Dfa, force: bool = False) -> Monitor:
-    """Like nfa_to_monitor for a DFA; the result is deterministic."""
-    if len(d.states) > DFA_MONITOR_CAP and not force:
-        raise CapExceeded(
-            f"{len(d.states)} states exceeds the cap of {DFA_MONITOR_CAP}; "
-            "pass force=True to unfold anyway"
-        )
-    return nfa_to_monitor(d, force=True)
+    """Like nfa_to_monitor for a DFA, with the cap DFA_MONITOR_CAP; the
+    result is deterministic."""
+    return _unfold(d._ix, DFA_MONITOR_CAP, force)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ class EquationSystem:
             raise TermError("free variables shadow equation names")
         defined = set(names) | self.free
         for n, f in self.equations:
-            loose = free_vars(f) - defined
+            outside = {t.name for t in subterms(f) if isinstance(t, Var)} - defined
+            loose = outside and free_vars(f) & outside
             if loose:
                 raise TermError(
                     f"equation {n} mentions undeclared variables {sorted(loose)}"

@@ -5,16 +5,18 @@ Two independent routes arrive at a deterministic monitor:
 * ``automata`` — language automaton, subset construction, minimization,
   unfold back into a monitor.  Works for any single-verdict monitor and
   is the default.
-* ``equations`` — through the logic side: read the monitor back as a
-  formula (dualized first for a ``yes`` monitor), flatten it into an
+* ``equations`` — through the logic side: read the monitor (its dual,
+  for a ``yes`` monitor) back as a safety formula, flatten it into an
   equation system and merge that into deterministic form, whose
   equations are the states of a DFA.  Requires the monitor to be
   end-free.
 
 The routes differ only in how they build the DFA; both then minimize
 it, unfold the minimal DFA into a monitor and dualize that for ``no``.
-The unfolding can blow up exponentially, so it refuses minimal DFAs of
-more than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
+The automata the stages hand each other build their named fields only
+when read, so no state or transition set is made on the way.  The
+unfolding can blow up exponentially, so it refuses minimal DFAs of more
+than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
 lifts the cap.  ``bench`` runs either witness family across a range of
 sizes with a per-stage timeout and reports CSV rows.
 """
@@ -42,7 +44,6 @@ from .terms import (
     Monitor,
     TermError,
     Verdict,
-    dualize,
     dualize_monitor,
     eliminate_verdict_sums,
     size,
@@ -66,7 +67,14 @@ def determinize_monitor(
     if method not in ("automata", "equations"):
         raise TermError(f"unknown method {method!r}")
     m = well_form(m, alphabet)
-    present = verdicts_in(m)
+    return _determinize_well_formed(m, alphabet, verdicts_in(m), method, force)
+
+
+def _determinize_well_formed(
+    m: Monitor, alphabet: frozenset[str], present: frozenset[str],
+    method: str = "automata", force: bool = False,
+) -> Monitor:
+    """determinize_monitor on a well-formed monitor with verdicts `present`."""
     if YES in present and NO in present:
         raise TermError(
             "monitor carries both verdicts; use determinize_two_verdict"
@@ -79,10 +87,10 @@ def determinize_monitor(
         # Verdict summands must be expanded first: the formula reading
         # maps them onto tt/ff, which already holds on the current trace,
         # while a verdict inside a choice only flags after one more
-        # action.  The expansion makes the two readings line up.
-        f = monitor_to_formula(eliminate_verdict_sums(m, alphabet))
-        if verdict == YES:
-            f = dualize(f)
+        # action.  The expansion makes the two readings line up.  A yes
+        # monitor is read as the safety formula of its dual.
+        e = eliminate_verdict_sums(m, alphabet)
+        f = monitor_to_formula(e if verdict == NO else dualize_monitor(e))
         dfa = system_to_dfa(determinize_system(formula_to_system(f)), alphabet)
     else:
         dfa = subset_construction(monitor_to_nfa(m, verdict, alphabet))

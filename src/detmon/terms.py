@@ -353,11 +353,12 @@ def fold(root, combine: Callable, enter: Callable | None = None, env=None, child
     memo: dict[int, object] | None = {} if enter is None else None
     keep: list = []  # the folded nodes, so that their ids stay their own
     out: list = []
+    # A frame ends in None until its node's children are pushed, then in their number.
     stack: list = [(root, env, None)]
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
-        node, e, kids = pop()
-        if kids is None:
+        node, e, n = pop()
+        if n is None:
             if memo is None:
                 e = enter(node, e)
             else:
@@ -370,18 +371,18 @@ def fold(root, combine: Callable, enter: Callable | None = None, env=None, child
             else:
                 kids = node.children() if children is None else children(node)
             if kids:
-                push((node, e, kids))
+                push((node, e, len(kids)))
                 if len(kids) == 1:
                     push((kids[0], e, None))
                 else:
                     stack.extend([(k, e, None) for k in reversed(kids)])
                 continue
             results = ()
-        elif len(kids) == 1:
+        elif n == 1:
             results = (out.pop(),)
         else:
-            results = out[-len(kids):]
-            del out[-len(kids):]
+            results = out[-n:]
+            del out[-n:]
         if memo is None:
             emit(combine(node, results, e))
         else:
@@ -525,6 +526,30 @@ def free_vars(term: Term) -> frozenset[str]:
     return fold(term, _free_vars)
 
 
+def _scan(term: Term) -> tuple[list[str], set[str], set[str]]:
+    """A term's binder names in preorder (with repeats), its actions and
+    its free variables, from one walk of its tree."""
+    binders: list[str] = []
+    actions, free, scope = set(), set(), Counter()
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:  # the walk leaves a binder of this name
+            scope[t] -= 1
+            continue
+        if isinstance(t, _Binder):
+            binders.append(t.var)
+            scope[t.var] += 1
+            stack.append(t.var)
+        elif isinstance(t, Var):
+            if not scope[t.name]:
+                free.add(t.name)
+        elif isinstance(t, _Guarded):
+            actions.add(t.action)
+        stack.extend(reversed(t.children()))
+    return binders, actions, free
+
+
 def binder_names(term: Term) -> list[str]:
     """Names of all recursion binders, in preorder (with repeats)."""
     return [t.var for t in subterms(term) if isinstance(t, _Binder)]
@@ -630,9 +655,12 @@ def _rename_binders(term: Term, fresh: Callable[[Term], str]) -> Term:
 def rename_apart(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     """Rename binders apart: a name bound by k > 1 binders becomes
     name1, ..., namek in preorder, skipping every name in use, the
-    alphabet and the keywords.  Names bound once stay."""
+    alphabet and the keywords.  Names bound once stay, so a term whose
+    binder names are all distinct is returned as it is."""
     bases = binder_names(m)
     counts = Counter(bases)
+    if len(counts) == len(bases):
+        return m
     taken = (
         set(bases)
         | {v.name for v in subterms(m) if isinstance(v, Var)}
@@ -681,16 +709,19 @@ def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     """
     if not alphabet:
         raise TermError("the alphabet must be non-empty")
-    bad = actions_in(m) - alphabet
+    binders, actions, free = _scan(m)
+    bad = actions - alphabet
     if bad:
         raise TermError(f"actions not in the declared alphabet: {sorted(bad)}")
-    clash = set(binder_names(m)) & set(alphabet)
+    clash = alphabet.intersection(binders)
     if clash:
         raise TermError(f"binder names clash with the alphabet: {sorted(clash)}")
 
-    m = rename_apart(fold(m, _collapse), alphabet)
+    m = fold(m, _collapse)
+    if len(set(binders)) != len(binders):
+        m = rename_apart(m, alphabet)
 
-    free = free_vars(m)
+    # Neither the collapse nor the renaming frees or binds a variable.
     if free:
         raise FreeVariableError(f"free recursion variables: {sorted(free)}")
     return m
@@ -698,9 +729,12 @@ def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
 
 def uniquify_formula(f: Formula, reserved: Iterable[str] = ()) -> Formula:
     """Rename fixpoint binders so all are distinct from each other, from
-    every free variable, and from `reserved`."""
-    used = set(free_vars(f))
-    taken = set(reserved) | used | set(binder_names(f))
+    every free variable, and from `reserved`; a formula that needs no
+    renaming is returned as it is."""
+    bases, _, used = _scan(f)
+    if len(set(bases)) == len(bases) and used.isdisjoint(bases):
+        return f
+    taken = set(reserved) | used | set(bases)
 
     def fresh(t: Formula) -> str:
         base = t.var

@@ -152,7 +152,7 @@ def determinize_two_verdict(
     when the two verdicts can collide.  Single-verdict monitors are
     passed straight to the ordinary pipeline.
     """
-    from .pipeline import determinize_monitor  # import cycle: pipeline uses this module
+    from .pipeline import _determinize_well_formed  # import cycle: pipeline uses this module
 
     m = well_form(m, alphabet)
     conflict = is_conflicting(m, alphabet)
@@ -160,11 +160,12 @@ def determinize_two_verdict(
         raise ConflictingMonitorError(conflict.witness or ())
     present = verdicts_in(m)
     if not (YES in present and NO in present):
-        return determinize_monitor(m, alphabet, force=force)
+        return _determinize_well_formed(m, alphabet, present, force=force)
 
+    # Still well formed: the relocation adds no binder, and leaves only yes.
     prepared = nu(eliminate_verdict_sums(m, alphabet), alphabet)
     extended = frozenset(alphabet | {NO_MARKER})
-    det = determinize_monitor(prepared, extended, force=force)
+    det = _determinize_well_formed(prepared, extended, frozenset({YES}), force=force)
     out = fold(det, _fold_marker)
     assert NO_MARKER not in actions_in(out)
     return out

@@ -23,14 +23,16 @@ from detmon.automata import (
     parse_automaton,
     subset_construction,
 )
+from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
 from detmon.semantics import CapExceeded, is_deterministic, verdicts_on
-from detmon.syntax import parse_monitor
+from detmon.syntax import parse_monitor, print_term
 from detmon.terms import NO, TermError, Verdict, YES, size
 
 from gen import all_words, random_monitor
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
+FIELDS = ("states", "alphabet", "transitions", "initial", "accepting")
 
 
 def me():
@@ -145,6 +147,37 @@ def _brute_minimal_states(d: Dfa) -> int:
         if not any((p, rep) not in marked for rep in classes):
             classes.append(p)
     return len(classes)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stage_outputs_equal_their_constructed_copies(seed):
+    rng = random.Random(seed)
+    nfa = random_nfa(rng)
+    m = random_monitor(rng, 8, AB, verdicts=(YES,))
+    outputs = (
+        lambda: monitor_to_nfa(m, YES, AB),
+        lambda: subset_construction(nfa),
+        lambda: minimize_dfa(subset_construction(nfa)),
+    )
+    for make in outputs:
+        fresh = make()
+        assert "transitions" not in vars(fresh)  # names are made when read
+        copy = type(fresh)(*[getattr(make(), f) for f in FIELDS])
+        assert fresh == copy and hash(fresh) == hash(copy)
+        assert format_automaton(fresh) == format_automaton(copy)
+
+
+def test_subset_names_that_collide_are_merged():
+    nfa = Nfa(
+        frozenset({"p", "q", "p+q"}), frozenset({"x", "y"}),
+        frozenset({("p", "x", "p"), ("p", "x", "q"), ("p", "y", "p+q")}), "p",
+        frozenset({"q"}),
+    )
+    dfa = subset_construction(nfa)
+    assert dfa.states == {"p", "p+q"} and dfa.accepting == {"p+q"}
+    assert dfa.transitions == {
+        ("p", "x", "p+q"), ("p", "y", "p+q"), ("p+q", "x", "p+q"), ("p+q", "y", "p+q")
+    }
 
 
 def test_subset_construction_of_running_example():
@@ -296,6 +329,18 @@ def test_nfa_to_monitor_cap_and_force():
     assert verdicts_on(m, ("a",) * 9, A) == frozenset()
 
 
+@pytest.mark.parametrize("names", ["012", "pqr"])
+def test_unfolding_puts_the_goal_first_on_a_symbol(names):
+    # The accepting states are read as one goal, which comes before the
+    # other targets of the same symbol whatever the states are called.
+    s0, s1, s2 = names
+    nfa = parse_automaton(
+        f"states: {s0}, {s1}, {s2}\nalphabet: a, b\ninitial: {s0}\naccepting: {s2}\n"
+        f"{s0} -a-> {s1}\n{s0} -a-> {s2}\n{s1} -b-> {s2}\n{s2} -a-> {s2}\n{s2} -b-> {s2}\n"
+    )
+    assert print_term(nfa_to_monitor(nfa)) == "a.yes + a.b.yes"
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(0, 4_000))
 def test_unfolded_monitor_keeps_the_language(seed):
@@ -316,6 +361,27 @@ def test_dfa_to_monitor_is_deterministic_and_bounded(seed):
     assert size(m) <= 2 * n * len(dfa.alphabet) ** n
     back = monitor_to_nfa(m, YES, AB)
     assert language_equiv(back, dfa)
+
+
+def _renamed(d: Dfa, rng: random.Random) -> Dfa:
+    names = sorted(d.states)
+    new = dict(zip(names, rng.sample([f"q{i}" for i in range(len(names))], len(names))))
+    return Dfa(
+        frozenset(new.values()), d.alphabet,
+        frozenset((new[s], y, new[t]) for s, y, t in d.transitions),
+        new[d.initial], frozenset(new[q] for q in d.accepting),
+    )
+
+
+@pytest.mark.parametrize("m", [mn_monitor(3), mn_monitor(4), un_monitor(3)])
+def test_dfa_unfolding_does_not_depend_on_state_names(m):
+    # State names fix state numbers (sorted order: s10 before s2 in the
+    # 18 states of M_4); the unfolding follows edges by symbol instead.
+    dfa = minimize_dfa(subset_construction(monitor_to_nfa(m, YES, ALPHABET_01E)))
+    out = dfa_to_monitor(dfa, force=True)
+    rng = random.Random(len(dfa.states))
+    for _ in range(3):
+        assert dfa_to_monitor(_renamed(dfa, rng), force=True) == out
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,15 @@ def test_system_requires_distinct_names():
         parse_equation_system("alphabet: a\nprincipal: X\nX = tt\nX = ff\n")
 
 
+def test_system_rejects_undeclared_variables():
+    bound = parse_formula("max Y. [a]Y", A)
+    assert EquationSystem((("X", bound),), "X").principal == "X"
+    for rhs in ("[a]Z", "[a]X & Z", "[a]Y"):
+        with pytest.raises(TermError, match="undeclared variables"):
+            EquationSystem((("X", bound), ("W", parse_formula(rhs, A))), "X")
+    EquationSystem((("X", bound), ("W", parse_formula("[a]Y", A))), "X", frozenset({"Y"}))
+
+
 def test_recursive_and_simultaneous_solvers_agree_on_example():
     sys, _ = example_system()
     for text in (CHAIN, LOOP):

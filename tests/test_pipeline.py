@@ -7,13 +7,29 @@ from pathlib import Path
 import pytest
 
 from detmon import cli
-from detmon.automata import language_equiv, monitor_to_nfa
+from detmon.automata import (
+    dfa_to_monitor,
+    language_equiv,
+    minimize_dfa,
+    monitor_to_nfa,
+    subset_construction,
+)
 from detmon.equivalence import verdict_equiv
 from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
 from detmon.pipeline import BENCH_COLUMNS, bench, bench_csv, determinize_monitor
 from detmon.semantics import CapExceeded, is_deterministic
 from detmon.syntax import format_term_file, parse_monitor, parse_monitor_file, print_term
-from detmon.terms import END, NO, YES, TermError, Verdict, size, verdicts_in, well_form
+from detmon.terms import (
+    END,
+    NO,
+    YES,
+    TermError,
+    Verdict,
+    dualize_monitor,
+    size,
+    verdicts_in,
+    well_form,
+)
 from detmon.verdicts import is_conflicting
 
 from gen import random_monitor
@@ -74,19 +90,31 @@ def test_equations_route_with_force_finishes_m4():
     assert size(d2) == 2237
 
 
+def _public_stages(m, alphabet):
+    """The automata route written out as the composition of the public
+    stages."""
+    m = well_form(m, alphabet)
+    verdict = YES if YES in verdicts_in(m) else NO
+    nfa = monitor_to_nfa(m, verdict, alphabet)
+    det = dfa_to_monitor(minimize_dfa(subset_construction(nfa)), force=True)
+    return det if verdict == YES else dualize_monitor(det)
+
+
 def _routes(m, alphabet):
+    """Both routes give the monitor of the public stage composition."""
     d1 = determinize_monitor(m, alphabet, method="automata", force=True)
     d2 = determinize_monitor(m, alphabet, method="equations", force=True)
-    assert d1 == d2, print_term(m)
+    assert d1 == d2 == _public_stages(m, alphabet), print_term(m)
     return d1
 
 
 def test_routes_agree_on_random_monitors():
     rng = random.Random(2024)
     done = 0
-    for _ in range(150):
-        m = random_monitor(rng, rng.randint(1, 8), AB, verdicts=(YES,))
-        if YES not in verdicts_in(m):
+    for i in range(150):
+        verdict = (YES, NO)[i % 2]
+        m = random_monitor(rng, rng.randint(1, 8), AB, verdicts=(verdict,))
+        if verdict not in verdicts_in(m):
             continue
         d1 = _routes(m, AB)
         assert is_deterministic(d1), print_term(m)
@@ -105,7 +133,7 @@ def test_routes_give_equal_monitors_on_the_witness_families(build, n):
     assert verdict_equiv(m, d, ALPHABET_01E)
 
 
-@pytest.mark.parametrize("seed", [101, 102])
+@pytest.mark.parametrize("seed", [1, 101, 102])
 def test_routes_give_equal_monitors_on_the_benchmark_routes_inputs(seed, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads

@@ -12,6 +12,7 @@ from detmon.terms import (
     Diamond,
     END,
     FF,
+    FreeVariableError,
     Max,
     Min,
     NO,
@@ -34,6 +35,7 @@ from detmon.terms import (
     is_shml,
     mk_and,
     mk_sum,
+    rename_apart,
     size,
     subterms,
     uniquify_formula,
@@ -172,6 +174,19 @@ class TestWellForm:
         with pytest.raises(TermError):
             well_form(Prefix("a", Var("x")), A)
 
+    @pytest.mark.parametrize("m", [
+        Sum((Prefix("a", Var("x")), Rec("x", Prefix("b", Var("x"))))),
+        Sum((Rec("x", Prefix("a", Var("x"))), Prefix("b", Var("x")))),
+        Sum((Rec("x", Prefix("a", Var("x"))), Rec("x", Prefix("b", Var("x"))), Var("x"))),
+    ])
+    def test_variable_outside_its_binder_rejected(self, m):
+        with pytest.raises(FreeVariableError, match=r"\['x'\]"):
+            well_form(m, AB)
+
+    def test_variable_under_a_repeated_name_is_bound(self):
+        m = Rec("x", Prefix("a", Rec("x", Sum((Prefix("a", Var("x")), Prefix("b", Var("x")))))))
+        assert print_term(well_form(m, AB)) == "rec x1. a.(rec x2. a.x2 + b.x2)"
+
     def test_action_outside_alphabet_rejected(self):
         with pytest.raises(TermError):
             well_form(Prefix("c", Verdict(YES)), AB)
@@ -186,6 +201,16 @@ class TestWellForm:
         m = random_monitor(random.Random(seed), 12)
         w = well_form(m, AB)
         assert well_form(w, AB) == w
+
+
+class TestRenameApart:
+    def test_distinct_binders_give_the_term_itself(self):
+        m = parse_monitor("rec x. a.(rec y. b.y + a.x)", AB)
+        assert rename_apart(m, AB) is m
+
+    def test_a_repeated_name_is_renamed(self):
+        m = parse_monitor("(rec x. a.x) + rec x. b.x", AB)
+        assert print_term(rename_apart(m, AB)) == "(rec x1. a.x1) + rec x2. b.x2"
 
 
 class TestVerdictSums:
@@ -213,4 +238,8 @@ class TestUniquify:
 
     def test_already_unique_untouched(self):
         f = parse_formula("max X. [a](max Y. [b]Y & X)", AB)
-        assert uniquify_formula(f) == f
+        assert uniquify_formula(f) is f
+
+    def test_a_binder_named_like_a_free_variable_is_renamed(self):
+        f = parse_formula("[b]X & max X. [a]X", AB)
+        assert print_term(uniquify_formula(f)) == "[b]X & max X1. [a]X1"

@@ -77,7 +77,10 @@ def test_nu_inverse_rejects_misplaced_markers():
 def test_nu_round_trip(seed):
     m = random_two_verdict(random.Random(seed), 10)
     m = eliminate_verdict_sums(well_form(m, AB), AB)
-    assert nu_inverse(nu(m, AB)) == m
+    prepared = nu(m, AB)
+    assert nu_inverse(prepared) == m
+    # determinize_two_verdict hands this on without well-forming it again.
+    assert well_form(prepared, AB | {NO_MARKER}) == prepared
 
 
 # ---------------------------------------------------------------------------
