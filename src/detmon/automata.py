@@ -6,7 +6,9 @@ are its structurally distinct subterms, numbered in one fold, and the
 edges are weak steps.  Determinization is the subset construction;
 minimization always returns the total minimal DFA, completing with a
 reject sink first, so equal languages give structurally identical
-automata after canonical renaming.
+automata after canonical renaming.  Language equivalence needs neither:
+a breadth-first walk over the pairs of subsets it meets finds the least
+differing word.
 
 Every operation runs on one indexed form, built once per automaton: states
 are dense integers, each symbol has one successor list, and acceptance is
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .semantics import DEFAULT_CLOSURE_CAP, CapExceeded, _reach
 from .syntax import TRANSITION, comma_list, file_lines
@@ -206,8 +208,8 @@ class _Positions:
     """A monitor's transition system under rule system "N", on integers.
 
     One fold numbers the structurally distinct subterms, the positions;
-    a position's strong steps, tau closure and weak successors are found
-    once, when a derivation first reaches it, in StepEngine's order:
+    a position's strong steps, tau closure, moves and weak successors are
+    found once, when a derivation first reaches it, in StepEngine's order:
     ``rec x.m`` steps to m, ``x`` to the binder of that name, a choice
     takes its summands' steps in turn, a verdict loops on every action.
     Binders are renamed apart first when two different ones share a name.
@@ -224,6 +226,7 @@ class _Positions:
         n = len(self._nodes)
         self._steps: list = [None] * n
         self._closures: list = [None] * n
+        self._moves: list = [None] * n
         self._weak = [[None] * n for _ in self.symbols]
 
     def _number(self, m: Monitor) -> bool:
@@ -299,12 +302,16 @@ class _Positions:
             c = self._closures[i] = tuple(_reach((i,), taus, self.cap))
         return c
 
-    def targets(self, i: int, k: int) -> tuple[int, ...]:
-        """The targets of the ``symbols[k]`` steps of position i's tau
-        closure, in discovery order."""
-        steps, n = self.steps, len(self.symbols)
-        moves = (c for p in self.closure(i) for c in steps(p)[1] if c % n == k)
-        return tuple(dict.fromkeys(c // n for c in moves))
+    def moves(self, i: int) -> list[tuple[int, ...]]:
+        """The targets of the action steps of position i's tau closure,
+        one tuple per symbol, each in discovery order."""
+        out = self._moves[i]
+        if out is None:
+            n, buckets = len(self.symbols), [{} for _ in self.symbols]
+            for c in chain.from_iterable(self.steps(p)[1] for p in self.closure(i)):
+                buckets[c % n][c // n] = None
+            out = self._moves[i] = [tuple(b) for b in buckets]
+        return out
 
     def weak(self, i: int, k: int) -> tuple[int, ...]:
         """Position i's weak successors on ``symbols[k]``, the tau closures
@@ -312,27 +319,23 @@ class _Positions:
         w = self._weak[k][i]
         if w is None:
             closure = self.closure
-            w = tuple(dict.fromkeys(q for t in self.targets(i, k) for q in closure(t)))
+            w = tuple(dict.fromkeys(q for t in self.moves(i)[k] for q in closure(t)))
             self._weak[k][i] = w
         return w
 
-    def nfa(self, verdict: str, weak: bool = True) -> _Ix:
-        """The unnamed NFA of the positions reachable from the root,
-        numbered breadth-first; a state accepts where `verdict` lies in its
-        tau closure.  Its edges are weak steps, or with weak=False only
-        the targets: fewer states, the same language."""
-        successors = self.weak if weak else self.targets
-        order, number = [self.root], {self.root: 0}
-        succ: list[list[tuple[int, ...]]] = [[] for _ in self.symbols]
-        for p in order:  # the list grows while it is walked
-            for k, out in enumerate(succ):
-                targets = []
-                for q in successors(p, k):
-                    if q not in number:
-                        number[q] = len(order)
-                        order.append(q)
-                    targets.append(number[q])
-                out.append(tuple(targets))
+    def reachable(self) -> list[int]:
+        """The positions the root reaches by action steps, breadth-first;
+        the first compile error a trace can reach is raised here."""
+        return _reach((self.root,), lambda p: chain.from_iterable(self.moves(p)))
+
+    def nfa(self, verdict: str) -> _Ix:
+        """The unnamed NFA of the positions the root reaches by weak
+        steps, numbered breadth-first; a state accepts where `verdict`
+        lies in its tau closure."""
+        ks = range(len(self.symbols))
+        order = _reach((self.root,), lambda p: chain.from_iterable(self.weak(p, k) for k in ks))
+        number = {p: i for i, p in enumerate(order)}
+        succ = [[tuple([number[q] for q in self.weak(p, k)]) for p in order] for k in ks]
         target = self.verdicts.get(verdict, -1)
         acc = bytearray(target in self.closure(p) for p in order)
         return _Ix(None, self.symbols, succ, 0, acc)
@@ -380,19 +383,8 @@ def member(a: Automaton, word: Iterable[str]) -> bool:
 
 def is_empty(a: Automaton) -> bool:
     ix = a._ix
-    seen = bytearray(len(ix.acc))
-    seen[ix.initial] = 1
-    stack = [ix.initial]
-    while stack:
-        i = stack.pop()
-        if ix.acc[i]:
-            return False
-        for row in ix.succ:
-            for j in row[i]:
-                if not seen[j]:
-                    seen[j] = 1
-                    stack.append(j)
-    return True
+    reach = _reach((ix.initial,), lambda i: chain.from_iterable(row[i] for row in ix.succ))
+    return not any(ix.acc[i] for i in reach)
 
 
 def _escapes(ix: _Ix) -> list[tuple[int, int]]:
@@ -581,18 +573,43 @@ def minimize_dfa(d: Dfa) -> Dfa:
     return _materialize(Dfa, names, d.alphabet, ix.symbols, _as_succ(out), acc)
 
 
-def _difference(a: _Ix, b: _Ix, symbols: tuple[str, ...]) -> tuple[str, ...] | None:
-    """A shortest word over `symbols` accepted by exactly one of two
-    indexes, or None when their languages coincide: the canonical minimal
-    tables are compared, then searched breadth-first in product."""
-    (ta, fa), (tb, fb) = [_minimal(*_determinize(x, symbols)[1:], 0) for x in (a, b)]
-    if (ta, fa) == (tb, fb):
-        return None
+def _subset_steps(moves: Callable, width: int) -> Callable:
+    """The subset construction, lazily: step(s) is subset s's successor
+    on each of `width` symbols, kept once found, where moves(i) gives
+    state i's targets per symbol.  A subset of one state is its number,
+    any other a frozenset of numbers."""
+    memo: dict = {}
 
-    def edges(pair: tuple[int, int]):
-        return [(y, (ta[k][pair[0]], tb[k][pair[1]])) for k, y in enumerate(symbols)]
+    def step(s: int | frozenset[int]) -> tuple[int | frozenset[int], ...]:
+        out = memo.get(s)
+        if out is None:
+            if type(s) is int:
+                rows = [r[0] if len(r) == 1 else frozenset(r) for r in moves(s)]
+            else:
+                ms = [moves(q) for q in s]
+                unions = [frozenset().union(*[m[k] for m in ms]) for k in range(width)]
+                rows = [next(iter(r)) if len(r) == 1 else r for r in unions]
+            out = memo[s] = tuple(rows)
+        return out
 
-    return _shortest_word([(0, 0)], edges, lambda pair: fa[pair[0]] != fb[pair[1]])
+    return step
+
+
+def _difference(symbols: tuple[str, ...], a: tuple, b: tuple) -> tuple[str, ...] | None:
+    """A shortest word over `symbols` accepted by exactly one side, the
+    least in lexicographic order among the shortest, or None when their
+    languages coincide.  A side is (step of _subset_steps, initial state,
+    accepting states); a breadth-first walk, symbols in order, goes over
+    the pairs of subsets the two sides reach, each met as it is needed."""
+    (step_a, start_a, acc_a), (step_b, start_b, acc_b) = a, b
+
+    def goal(pair: tuple) -> bool:
+        s, t = pair
+        return (s in acc_a if type(s) is int else not acc_a.isdisjoint(s)) != (
+            t in acc_b if type(t) is int else not acc_b.isdisjoint(t))
+
+    edges = lambda pair: zip(symbols, zip(step_a(pair[0]), step_b(pair[1])))
+    return _shortest_word([(start_a, start_b)], edges, goal)
 
 
 def _shortest_word(starts: Iterable, edges, goal) -> tuple[str, ...] | None:
@@ -619,14 +636,24 @@ def _shortest_word(starts: Iterable, edges, goal) -> tuple[str, ...] | None:
 
 
 def language_equiv(a: Automaton, b: Automaton) -> bool:
-    """Exact language equality, by canonical minimal DFAs."""
+    """Exact language equality, by the walk of distinguishing_word."""
     return distinguishing_word(a, b) is None
 
 
 def distinguishing_word(a: Automaton, b: Automaton) -> tuple[str, ...] | None:
-    """A shortest word accepted by exactly one of the two automata, or
-    None when their languages coincide."""
-    return _difference(a._ix, b._ix, tuple(sorted(a.alphabet | b.alphabet)))
+    """A shortest word accepted by exactly one of the two automata, the
+    least in lexicographic order among the shortest, or None when their
+    languages coincide.  A symbol outside an automaton's alphabet takes
+    it to no state."""
+    symbols = tuple(sorted(a.alphabet | b.alphabet))
+
+    def side(ix: _Ix) -> tuple:
+        none = [()] * len(ix.acc)
+        rows = [ix.succ[k] if (k := ix.column.get(y)) is not None else none for y in symbols]
+        step = _subset_steps(lambda i: [row[i] for row in rows], len(rows))
+        return step, ix.initial, {i for i, f in enumerate(ix.acc) if f}
+
+    return _difference(symbols, side(a._ix), side(b._ix))
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +692,9 @@ def _unfold(ix: _Ix, cap: int, force: bool) -> Monitor:
         for s, targets in enumerate(row):
             for t in targets:
                 rev[t].append(s)
-    live = bytearray(acc)
-    stack = [i for i, f in enumerate(acc) if f]
-    while stack:
-        for p in rev[stack.pop()]:
-            if not live[p]:
-                live[p] = 1
-                stack.append(p)
+    live = bytearray(len(acc))
+    for p in _reach([i for i, f in enumerate(acc) if f], rev.__getitem__):
+        live[p] = 1
     if not live[ix.initial]:
         return Verdict(END)
 

@@ -1,10 +1,10 @@
 """Deciding when two monitors are interchangeable.
 
 Two monitors are verdict-equivalent when they flag exactly the same
-traces with exactly the same verdicts.  For single-verdict monitors this
-reduces to language equality of their acceptance automata, which is
-decided exactly (and yields a shortest distinguishing trace when it
-fails).  `bounded_equiv` is the cheap cousin: compare verdict sets on
+traces with exactly the same verdicts.  Verdict by verdict this is
+language equality of their acceptance automata, decided exactly by a
+product walk that yields the shortlex-least distinguishing trace when it
+fails.  `bounded_equiv` is the cheap cousin: compare verdict sets on
 every trace up to a length bound.
 
 `simple_traces` enumerates the traces a monitor can follow without ever
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automata import _difference, _Positions
+from .automata import _difference, _Positions, _subset_steps
 from .semantics import StepEngine, binder_map, verdicts_on
 from .terms import END, NO, SKIP, YES, Monitor, Prefix, Term, Verdict, fold
 
@@ -40,10 +40,13 @@ def verdict_equiv(
 ) -> EquivResult:
     """Exact verdict equivalence, one acceptance automaton per verdict.
 
-    Each monitor is compiled to its positions once; the verdicts differ
-    only in which states of its NFA accept.  The NFAs compared keep only
-    the targets of action steps as states, and a shortest trace they
-    disagree on is the witness.
+    Each monitor is compiled to its positions once, and every position a
+    trace reaches is worked out before any verdict is compared, the first
+    monitor's first: a compile error is raised even behind a difference.
+    For each verdict in turn, `_difference` walks pairs of subsets of
+    action-step targets, their successors shared across verdicts; the
+    witness is the shortlex-least trace that exactly one monitor flags
+    with that verdict.
 
     The `end` verdict marks deliberate abdication and is usually not an
     observable outcome worth separating on; pass include_end=True to
@@ -52,11 +55,17 @@ def verdict_equiv(
     """
     verdicts = (YES, NO, END) if include_end else (YES, NO)
     p1, p2 = _Positions(m1, alphabet), _Positions(m2, alphabet)
+    verdicts = [v for v in verdicts if v in p1.verdicts or v in p2.verdicts]
+    if not verdicts:
+        return EquivResult(True)
+    sides = [(p, p.reachable(), _subset_steps(p.moves, len(p.symbols))) for p in (p1, p2)]
     for v in verdicts:
-        if v in p1.verdicts or v in p2.verdicts:
-            witness = _difference(p1.nfa(v, weak=False), p2.nfa(v, weak=False), p1.symbols)
-            if witness is not None:
-                return EquivResult(False, witness, v)
+        witness = _difference(p1.symbols, *[
+            (steps, p.root, {q for q in order if p.verdicts.get(v, -1) in p.closure(q)})
+            for p, order, steps in sides
+        ])
+        if witness is not None:
+            return EquivResult(False, witness, v)
     return EquivResult(True)
 
 
@@ -73,24 +82,14 @@ def bounded_equiv(
     e1 = StepEngine(alphabet, system, binder_map(m1))
     e2 = StepEngine(alphabet, system, binder_map(m2))
 
-    def close(engine: StepEngine, frontier: frozenset[Term]) -> frozenset[Term]:
-        out: set[Term] = set()
-        for t in frontier:
-            out.update(engine.tau_closure(t))
-        return frozenset(out)
-
     def flags(frontier: frozenset[Term]) -> frozenset[str]:
         return frozenset(t.value for t in frontier if isinstance(t, Verdict))
-
-    def step(engine: StepEngine, frontier: frozenset[Term], a: str) -> frozenset[Term]:
-        out: set[Term] = set()
-        for t in frontier:
-            out.update(engine.weak_successors(t, a))
-        return frozenset(out)
 
     seen: set[tuple[frozenset[Term], frozenset[Term], int]] = set()
 
     def go(f1: frozenset[Term], f2: frozenset[Term], remaining: int) -> bool:
+        # Both frontiers are tau-closed: a step's weak successors are
+        # those of the whole frontier.
         if flags(f1) != flags(f2):
             return False
         if remaining == 0:
@@ -99,12 +98,12 @@ def bounded_equiv(
         if key in seen:
             return True
         seen.add(key)
-        for a in sorted(alphabet):
-            if not go(step(e1, f1, a), step(e2, f2, a), remaining - 1):
-                return False
-        return True
+        return all(
+            go(frozenset(e1.frontier_step(f1, a)), frozenset(e2.frontier_step(f2, a)), remaining - 1)
+            for a in sorted(alphabet)
+        )
 
-    return go(close(e1, frozenset({m1})), close(e2, frozenset({m2})), max_len)
+    return go(frozenset(e1.tau_closure(m1)), frozenset(e2.tau_closure(m2)), max_len)
 
 
 def simple_traces(m: Monitor, max_len: int) -> frozenset[tuple[str, ...]]:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import Dfa, dfa_to_monitor, minimize_dfa
-from .semantics import Lts
+from .semantics import Lts, _reach
 from .synthesis import monitor_to_formula
 from .syntax import comma_list, file_lines, parse_formula, print_term
 from .terms import (
@@ -413,22 +413,10 @@ def formula_to_system(f: Formula) -> EquationSystem:
                 out.append(c.name)
         return out
 
-    live: set[str] = set()
-    stack = [principal]
-    while stack:
-        n = stack.pop()
-        if n in live or n not in index:
-            continue
-        live.add(n)
-        stack.extend(references(rhs_of(n)))
+    ordered = _reach([principal], lambda n: [r for r in references(rhs_of(n)) if r in index])
 
     # Canonical names, assigned in first-reference order from the principal.
-    frees = {
-        v
-        for n in live
-        for v in references(rhs_of(n))
-        if v not in index
-    }
+    frees = {v for n in ordered for v in references(rhs_of(n)) if v not in index}
     taken = set(frees)
     renames: dict[str, str] = {}
 
@@ -450,18 +438,8 @@ def formula_to_system(f: Formula) -> EquationSystem:
         renames[name] = new
         return new
 
-    ordered: list[str] = []
-    canonical(principal)
-    queue = deque([principal])
-    seen = {principal}
-    while queue:
-        n = queue.popleft()
-        ordered.append(n)
-        for ref in references(rhs_of(n)):
-            if ref in index and ref in live and ref not in seen:
-                seen.add(ref)
-                canonical(ref)
-                queue.append(ref)
+    for n in ordered:
+        canonical(n)
 
     def rename_rhs(rhs: Formula) -> Formula:
         conjuncts = rhs.conjuncts if isinstance(rhs, And) else (rhs,)

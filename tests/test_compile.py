@@ -1,22 +1,33 @@
 """The indexed compile of monitors to automata, checked against
 term-by-term StepEngine walks kept here as oracles: the NFA walk, the
 conflict product walk, and verdict equivalence by one pair of NFAs per
-verdict.  Then verdict_equiv against bounded_equiv on generated pairs,
-witness included."""
+verdict, compared by canonical minimal tables.  Then verdict_equiv
+against bounded_equiv and brute force on generated pairs, witness
+included."""
 
 import random
 from collections import deque
 
 from detmon.automata import (
     Nfa,
+    _determinize,
+    _minimal,
     distinguishing_word,
     language_equiv,
+    minimize_dfa,
     monitor_to_nfa,
+    subset_construction,
 )
 from detmon.equivalence import EquivResult, bounded_equiv, verdict_equiv
 from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
 from detmon.pipeline import determinize_monitor
-from detmon.semantics import CapExceeded, StepEngine, binder_map, verdicts_on
+from detmon.semantics import (
+    DEFAULT_CLOSURE_CAP,
+    CapExceeded,
+    StepEngine,
+    binder_map,
+    verdicts_on,
+)
 from detmon.syntax import parse_monitor
 from detmon.terms import (
     END,
@@ -39,7 +50,9 @@ from detmon.verdicts import (
 
 from gen import all_words, random_monitor, random_two_verdict, scramble
 
+A = frozenset({"a"})
 AB = frozenset({"a", "b"})
+ABC = frozenset({"a", "b", "c"})
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +137,45 @@ def oracle_conflict(m, alphabet):
     return ConflictResult(False)
 
 
+def oracle_difference(a, b, symbols):
+    """A shortest word over `symbols` accepted by exactly one of two
+    indexed automata, or None: both sides determinized and minimized to
+    canonical tables, which are compared, then searched breadth-first in
+    product."""
+    (ta, fa), (tb, fb) = [_minimal(*_determinize(x, symbols)[1:], 0) for x in (a, b)]
+    if (ta, fa) == (tb, fb):
+        return None
+    parents = {(0, 0): None}
+    queue = deque(parents)
+    while queue:
+        pair = queue.popleft()
+        if fa[pair[0]] != fb[pair[1]]:
+            word = []
+            while parents[pair] is not None:
+                pair, y = parents[pair]
+                word.append(y)
+            return tuple(reversed(word))
+        for k, y in enumerate(symbols):
+            nxt = (ta[k][pair[0]], tb[k][pair[1]])
+            if nxt not in parents:
+                parents[nxt] = (pair, y)
+                queue.append(nxt)
+    raise AssertionError("unequal canonical tables with no differing pair")
+
+
+def oracle_words(a, b):
+    return oracle_difference(a._ix, b._ix, tuple(sorted(a.alphabet | b.alphabet)))
+
+
 def oracle_equiv(m1, m2, alphabet, include_end=False):
     verdicts = (YES, NO, END) if include_end else (YES, NO)
     present = verdicts_in(m1) | verdicts_in(m2)
     for v in verdicts:
         if v not in present:
             continue
-        n1, n2 = oracle_nfa(m1, alphabet, v), oracle_nfa(m2, alphabet, v)
-        if not language_equiv(n1, n2):
-            return EquivResult(False, distinguishing_word(n1, n2), v)
+        witness = oracle_words(oracle_nfa(m1, alphabet, v), oracle_nfa(m2, alphabet, v))
+        if witness is not None:
+            return EquivResult(False, witness, v)
     return EquivResult(True)
 
 
@@ -250,6 +293,55 @@ def test_the_closure_cap_still_holds():
     assert err[0] is CapExceeded
 
 
+def test_language_equiv_matches_the_canonical_tables():
+    """NFAs, subset DFAs and minimal DFAs of generated monitors over
+    three alphabets, compared in random pairs and each with its own
+    DFAs."""
+    automata = []
+    for i, m in enumerate(generated(605, 240)):
+        alphabet = (A, AB, ABC)[i % 3]
+        for v in (YES, NO):
+            nfa = outcome(monitor_to_nfa, m, v, alphabet)
+            if isinstance(nfa, Nfa):
+                dfa = subset_construction(nfa)
+                automata.append((nfa, dfa, minimize_dfa(dfa)))
+    rng = random.Random(605)
+    kinds = set()
+    for own in automata:
+        other = rng.choice(automata)
+        for x, y in [(own[0], own[1]), (own[2], own[0])] + [
+            (rng.choice(own), rng.choice(other)) for _ in range(3)
+        ]:
+            want = oracle_words(x, y)
+            assert distinguishing_word(x, y) == want, (x, y)
+            assert language_equiv(x, y) == (want is None)
+            kinds.add((x.alphabet == y.alphabet, want is None))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_an_error_behind_a_later_difference_is_still_raised():
+    """The two sides differ on `a` already, but every position a trace
+    reaches is compiled first, the first monitor's first."""
+    differs = parse_monitor("b.b.yes", AB)
+    assert verdict_equiv(parse_monitor("a.yes + b.b.yes", AB), differs, AB) == EquivResult(
+        False, ("a",), YES
+    )
+    unbound = parse_monitor("a.yes + b.b.x", AB)
+    nested = " + ".join(f"rec x{i}. a.yes" for i in range(DEFAULT_CLOSURE_CAP + 1))
+    wide = parse_monitor(f"a.yes + b.b.({nested})", AB)  # one closure of all the binders
+    for m1, m2, error in [
+        (unbound, differs, FreeVariableError),
+        (differs, unbound, FreeVariableError),
+        (wide, differs, CapExceeded),
+        (differs, wide, CapExceeded),
+        (unbound, wide, FreeVariableError),
+        (wide, unbound, CapExceeded),
+    ]:
+        got = outcome(verdict_equiv, m1, m2, AB)
+        assert got[0] is error, got
+        assert got == outcome(monitor_to_nfa, m2 if m1 is differs else m1, YES, AB)
+
+
 # ---------------------------------------------------------------------------
 # verdict_equiv against bounded_equiv
 # ---------------------------------------------------------------------------
@@ -290,3 +382,25 @@ def test_verdict_equiv_agrees_with_bounded_equiv():
         for u in shorter:  # and no shorter trace separates v
             assert (v in verdicts_on(m1, u, AB)) == (v in verdicts_on(m2, u, AB)), (m1, m2, u)
     assert equivalent > 50 and inequivalent > 50
+
+
+def test_witnesses_are_the_least_differing_traces():
+    """On generated inequivalent pairs, no trace before the witness in
+    shortlex order tells the two monitors apart on its verdict, and the
+    witness does.  Pairs with an unbound variable in reach are skipped."""
+    ms = list(generated(606, 300))
+    rng = random.Random(606)
+    checked = 0
+    while checked < 200:
+        m1, m2 = rng.choice(ms), rng.choice(ms)
+        include_end = rng.random() < 0.5
+        r = outcome(verdict_equiv, m1, m2, AB, include_end)
+        if not isinstance(r, EquivResult) or r:
+            continue
+        checked += 1
+        v = r.verdict
+        first = next(
+            u for u in all_words(AB, len(r.witness))
+            if (v in verdicts_on(m1, u, AB)) != (v in verdicts_on(m2, u, AB))
+        )
+        assert first == r.witness, (m1, m2, include_end)
