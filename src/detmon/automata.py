@@ -12,7 +12,9 @@ differing word.
 
 Every operation runs on one indexed form, built once per automaton: states
 are dense integers, each symbol has one successor list, and acceptance is
-a bitmap.  A stage's output names its states only when its fields are read.
+a label byte per state: 0 rejects, 1 accepts, and the determinization of
+a two-verdict monitor labels yes 1 and no 2 through every stage.  A
+stage's output names its states only when its fields are read.
 
 The way back — an automaton as a monitor — requires the automaton to be
 *irrevocable* (acceptance can never be escaped), mirroring how a verdict
@@ -57,7 +59,8 @@ class _Ix:
 
     State i is ``names[i]``, numbered in sorted name order, so sorting
     ids sorts names; ``succ[k][i]`` is the sorted tuple of i's successors
-    on ``symbols[k]``, symbols sorted too; ``acc[i]`` is 1 when i accepts.
+    on ``symbols[k]``, symbols sorted too; ``acc[i]`` is i's label, 0
+    when i rejects.
     A table only compared, never materialized, has no names (None).
     """
 
@@ -328,16 +331,21 @@ class _Positions:
         the first compile error a trace can reach is raised here."""
         return _reach((self.root,), lambda p: chain.from_iterable(self.moves(p)))
 
-    def nfa(self, verdict: str) -> _Ix:
+    def nfa(self, verdicts: tuple[str, ...]) -> _Ix:
         """The unnamed NFA of the positions the root reaches by weak
-        steps, numbered breadth-first; a state accepts where `verdict`
-        lies in its tau closure."""
+        steps, numbered breadth-first; a state's label has bit 1 << k
+        where ``verdicts[k]`` lies in its tau closure."""
         ks = range(len(self.symbols))
         order = _reach((self.root,), lambda p: chain.from_iterable(self.weak(p, k) for k in ks))
         number = {p: i for i, p in enumerate(order)}
         succ = [[tuple([number[q] for q in self.weak(p, k)]) for p in order] for k in ks]
-        target = self.verdicts.get(verdict, -1)
-        acc = bytearray(target in self.closure(p) for p in order)
+        closures = list(map(self.closure, order))
+        acc = bytearray(len(order))
+        for k, v in enumerate(verdicts):
+            target = self.verdicts.get(v, -1)
+            for i, c in enumerate(closures):
+                if target in c:
+                    acc[i] |= 1 << k
         return _Ix(None, self.symbols, succ, 0, acc)
 
 
@@ -357,7 +365,7 @@ def monitor_to_nfa(
         raise TermError(
             f"monitor carries the {other!r} verdict; not a {accept_verdict}-monitor"
         )
-    ix = positions.nfa(accept_verdict)
+    ix = positions.nfa((accept_verdict,))
     names = [f"q{i}" for i in range(len(ix.acc))]
     return _materialize(Nfa, names, alphabet, ix.symbols, ix.succ, ix.acc)
 
@@ -388,12 +396,13 @@ def is_empty(a: Automaton) -> bool:
 
 
 def _escapes(ix: _Ix) -> list[tuple[int, int]]:
-    """The (accepting state, symbol) pairs without an accepting successor."""
+    """The (accepting state, symbol) pairs without a successor that
+    shares a label bit with the state."""
     acc = ix.acc
     return [
         (i, k)
         for i in range(len(acc)) if acc[i]
-        for k, row in enumerate(ix.succ) if not any(acc[j] for j in row[i])
+        for k, row in enumerate(ix.succ) if not any(acc[j] & acc[i] for j in row[i])
     ]
 
 
@@ -425,8 +434,10 @@ def _determinize(
     """Reachable-subset construction over `symbols`, which may hold
     symbols the automaton lacks: the subsets in the order found, the
     start first, one state as its number and more as a frozenset; their
-    table, the empty subset left out as -1; and which subsets accept.
-    Successor lists become frozensets only at the first larger subset."""
+    table, the empty subset left out as -1; and each subset's label, the
+    OR of its members', which must not hold both bits of a two-verdict
+    labelling.  Successor lists become frozensets only at the first
+    larger subset."""
     none = [()] * len(ix.acc)
     rows = [ix.succ[k] if (k := ix.column.get(y)) is not None else none for y in symbols]
     number: dict[int | frozenset[int], int] = {ix.initial: 0}
@@ -451,10 +462,14 @@ def _determinize(
                 t = number[key] = len(subsets)
                 subsets.append(key)
             out.append(t)
-    accepting = {q for q, f in enumerate(ix.acc) if f}
-    return subsets, table, bytearray(
-        ix.acc[s] if type(s) is int else not accepting.isdisjoint(s) for s in subsets
+    ones = {q for q, f in enumerate(ix.acc) if f & 1}
+    twos = {q for q, f in enumerate(ix.acc) if f & 2}
+    acc = bytearray(
+        ix.acc[s] if type(s) is int else (not ones.isdisjoint(s)) | (not twos.isdisjoint(s)) << 1
+        for s in subsets
     )
+    assert 3 not in acc, "a subset holds both verdicts"
+    return subsets, table, acc
 
 
 def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytearray]:
@@ -462,12 +477,12 @@ def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytea
     from the initial state (0) with symbols in order.
 
     Unreachable states are dropped and a reject sink closes the missing
-    edges; Hopcroft's refinement then splits the accepting/rejecting
-    partition.  Each block popped from the worklist splits every block
-    by its predecessors on each symbol; of a block that splits, only the
-    smaller half joins the worklist unless the block was waiting there
-    already, so a state lies in O(log n) splitters: O(k n log n) for k
-    symbols and n states.
+    edges; Hopcroft's refinement then splits the partition by label, all
+    its blocks but a largest one waiting.  Each block popped from the
+    worklist splits every block by its predecessors on each symbol; of a
+    block that splits, only the smaller half joins the worklist unless
+    the block was waiting there already, so a state lies in O(log n)
+    splitters: O(k n log n) for k symbols and n states.
     """
     number = [-1] * len(acc)
     number[initial] = 0
@@ -495,13 +510,12 @@ def _minimal(table: _Table, acc: bytearray, initial: int) -> tuple[_Table, bytea
             into[t].append(q)
         pred.append(into)
 
-    block_of = [0 if f else 1 for f in final]
-    accepting = {q for q in range(n) if final[q]}
-    blocks = [accepting, set(range(n)) - accepting]
-    if not blocks[0] or not blocks[1]:
-        work: set[int] = set()
-    else:
-        work = {0 if len(blocks[0]) <= len(blocks[1]) else 1}
+    block_of = list(final)
+    blocks: list[set[int]] = [set() for _ in range(max(final) + 1)]
+    for q, f in enumerate(final):
+        blocks[f].add(q)
+    work = set(range(len(blocks)))
+    work.remove(blocks.index(max(blocks, key=len)))
     while work:
         splitter = list(blocks[work.pop()])
         for into in pred:
@@ -665,14 +679,14 @@ DFA_MONITOR_CAP = 12
 _MAX_PATHS = 1_000_000
 
 
-def _unfold(ix: _Ix, cap: int, force: bool) -> Monitor:
+def _unfold(ix: _Ix, cap: int, force: bool, verdicts: tuple[str, ...] = (YES,)) -> Monitor:
     """The loop-free-path unfolding of an irrevocable automaton's index,
-    its accepting states read as one absorbing goal: TermError when
-    acceptance can be escaped, CapExceeded above `cap` states unless
-    forced.
+    its states of label 1 << k read as one absorbing goal, the verdict
+    ``verdicts[k]``: TermError when a label can be escaped, CapExceeded
+    above `cap` states unless forced.
 
     A state's edges, and so its children, come in edge order: by symbol,
-    and on one symbol the goal first, then the other targets by state.  A
+    and on one symbol the goals first, then the other targets by state.  A
     path node becomes a binder only when a back-edge names it; binders
     are named x0, x1, ... as their first back-edge is met, so on a DFA
     the output does not depend on how the states are numbered."""
@@ -683,8 +697,9 @@ def _unfold(ix: _Ix, cap: int, force: bool) -> Monitor:
         raise CapExceeded(
             f"{len(acc)} states exceeds the cap of {cap}; pass force=True to unfold anyway"
         )
+    goals = {1 << k: Verdict(v) for k, v in enumerate(verdicts)}
     if acc[ix.initial]:
-        return Verdict(YES)
+        return goals[acc[ix.initial]]
 
     # Keep only states that can still reach acceptance.
     rev: list[list[int]] = [[] for _ in acc]
@@ -698,12 +713,16 @@ def _unfold(ix: _Ix, cap: int, force: bool) -> Monitor:
     if not live[ix.initial]:
         return Verdict(END)
 
-    # Each state's edges into live states, in edge order; the goal is -1.
+    # Each state's edges into live states, in edge order; the goal of
+    # label f is -f.
     edges: list[list[tuple[str, int]]] = [[] for _ in acc]
     for s, out in enumerate(edges):
         for y, row in zip(ix.symbols, ix.succ) if live[s] and not acc[s] else ():
-            if any(acc[t] for t in row[s]):
-                out.append((y, -1))
+            hit = 0
+            for t in row[s]:
+                hit |= acc[t]
+            if hit:
+                out.extend((y, -f) for f in goals if f & hit)
             out.extend((y, t) for t in row[s] if live[t] and not acc[t])
 
     # The states on the current path, each with its binder once a
@@ -728,7 +747,7 @@ def _unfold(ix: _Ix, cap: int, force: bool) -> Monitor:
         summands: list[Monitor] = []
         for sym, t in edges[s]:
             if t < 0:
-                summands.append(Prefix(sym, Verdict(YES)))
+                summands.append(Prefix(sym, goals[-t]))
             elif t in built:
                 summands.append(Prefix(sym, built[t]))
             else:

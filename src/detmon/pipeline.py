@@ -67,14 +67,7 @@ def determinize_monitor(
     if method not in ("automata", "equations"):
         raise TermError(f"unknown method {method!r}")
     m = well_form(m, alphabet)
-    return _determinize_well_formed(m, alphabet, verdicts_in(m), method, force)
-
-
-def _determinize_well_formed(
-    m: Monitor, alphabet: frozenset[str], present: frozenset[str],
-    method: str = "automata", force: bool = False,
-) -> Monitor:
-    """determinize_monitor on a well-formed monitor with verdicts `present`."""
+    present = verdicts_in(m)
     if YES in present and NO in present:
         raise TermError(
             "monitor carries both verdicts; use determinize_two_verdict"

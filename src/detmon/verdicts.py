@@ -2,12 +2,16 @@
 
 A monitor that can reach both ``yes`` and ``no`` on the *same* trace is
 conflicting — irrevocability would force it to stand by contradictory
-calls — and cannot be determinized meaningfully.  Conflict-free
-two-verdict monitors are handled by relocating every ``no`` onto a
-reserved marker action, determinizing the resulting single-verdict
-monitor over the extended alphabet, and folding the marker back into a
-verdict.  Because verdicts are irrevocable, a state that can emit the
-marker may simply *become* ``no``, which is what the folding does.
+calls — and cannot be determinized meaningfully.  A conflict-free one
+is determinized on the compile of its positions that the conflict walk
+used, as the three-valued deterministic monitor of Bauer, Leucker and
+Schallhart: the subset construction runs over the monitor's alphabet on
+an NFA whose states are labelled yes where ``yes`` lies in their tau
+closure and no where ``no`` does; a subset takes its members' labels,
+which never clash; minimization starts from the partition by label; and
+the unfolding writes ``yes`` or ``no`` on each edge into a labelled state.
+``nu`` and ``nu_inverse`` move every ``no`` behind a reserved marker
+action and back, making a two-verdict monitor a yes-monitor.
 """
 
 from __future__ import annotations
@@ -15,23 +19,22 @@ from __future__ import annotations
 from itertools import product
 from dataclasses import dataclass
 
-from .automata import _Positions, _shortest_word
+from .automata import (
+    DFA_MONITOR_CAP, _Ix, _Positions, _as_succ, _determinize, _minimal, _shortest_word, _unfold,
+)
 from .terms import (
     NO,
     NO_MARKER,
     YES,
     Monitor,
     Prefix,
-    Rec,
     Sum,
     TermError,
     Verdict,
     actions_in,
-    eliminate_verdict_sums,
     fold,
     mk_sum,
     subterms,
-    verdicts_in,
     well_form,
 )
 
@@ -108,11 +111,10 @@ def nu_inverse(m: Monitor) -> Monitor:
     return fold(m, step)
 
 
-def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
-    """Can any single trace be flagged with both verdicts?  Breadth-first
-    product walk of the monitor's compiled positions against themselves;
-    the witness, when there is one, is a shortest conflicted trace."""
-    positions = _Positions(m, alphabet)
+def _conflict(positions: _Positions) -> tuple[str, ...] | None:
+    """A shortest trace on which the compiled monitor can reach both
+    verdicts, or None: a breadth-first product walk of its positions
+    against themselves."""
     yes, no = positions.verdicts.get(YES), positions.verdicts.get(NO)
     weak, start = positions.weak, positions.closure(positions.root)
 
@@ -124,23 +126,14 @@ def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
             for p2 in weak(p, k) for q2 in weak(q, k)
         ]
 
-    witness = _shortest_word(product(start, start), edges, {(yes, no), (no, yes)}.__contains__)
+    return _shortest_word(product(start, start), edges, {(yes, no), (no, yes)}.__contains__)
+
+
+def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
+    """Can any single trace be flagged with both verdicts?  The witness,
+    when there is one, is a shortest conflicted trace."""
+    witness = _conflict(_Positions(m, alphabet))
     return ConflictResult(False) if witness is None else ConflictResult(True, witness)
-
-
-def _fold_marker(t: Monitor, kids) -> Monitor:
-    """Bottom-up: marker prefixes become ``no``, and anything that can
-    immediately go ``no`` is ``no`` (sound because the source monitor is
-    conflict-free and verdicts are irrevocable)."""
-    no = Verdict(NO)
-    if isinstance(t, Prefix) and t.action == NO_MARKER:
-        assert t.body == Verdict(YES)
-        return no
-    if isinstance(t, Sum):
-        return no if no in kids else mk_sum(kids)
-    if isinstance(t, Rec) and kids[0] == no:
-        return no
-    return t.rebuild(kids)
 
 
 def determinize_two_verdict(
@@ -149,23 +142,16 @@ def determinize_two_verdict(
     """Determinize a conflict-free monitor that may carry both verdicts.
 
     Raises ConflictingMonitorError (with a shortest conflicted trace)
-    when the two verdicts can collide.  Single-verdict monitors are
-    passed straight to the ordinary pipeline.
+    when the two verdicts can collide, and CapExceeded when the minimal
+    DFA has more than DFA_MONITOR_CAP states unless forced.  A
+    single-verdict monitor comes out as determinize_monitor's automata
+    route gives it.
     """
-    from .pipeline import _determinize_well_formed  # import cycle: pipeline uses this module
-
-    m = well_form(m, alphabet)
-    conflict = is_conflicting(m, alphabet)
-    if conflict:
-        raise ConflictingMonitorError(conflict.witness or ())
-    present = verdicts_in(m)
-    if not (YES in present and NO in present):
-        return _determinize_well_formed(m, alphabet, present, force=force)
-
-    # Still well formed: the relocation adds no binder, and leaves only yes.
-    prepared = nu(eliminate_verdict_sums(m, alphabet), alphabet)
-    extended = frozenset(alphabet | {NO_MARKER})
-    det = _determinize_well_formed(prepared, extended, frozenset({YES}), force=force)
-    out = fold(det, _fold_marker)
-    assert NO_MARKER not in actions_in(out)
-    return out
+    positions = _Positions(well_form(m, alphabet), alphabet)
+    witness = _conflict(positions)
+    if witness is not None:
+        raise ConflictingMonitorError(witness)
+    nfa = positions.nfa((YES, NO))
+    table, labels = _minimal(*_determinize(nfa, nfa.symbols)[1:], 0)
+    dfa = _Ix(None, nfa.symbols, _as_succ(table), 0, labels)
+    return _unfold(dfa, DFA_MONITOR_CAP, force, (YES, NO))

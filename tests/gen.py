@@ -103,6 +103,19 @@ def random_two_verdict(
             return m
 
 
+def random_split_two_verdict(
+    rng: random.Random, budget: int, alphabet: frozenset[str] = DEFAULT_AB
+) -> Monitor:
+    """A two-verdict monitor that is conflict-free by construction: its
+    first action leads to a random yes-monitor or to a random no-monitor,
+    each of size at most `budget` // 2."""
+    yes_first, no_first = rng.sample(sorted(alphabet), 2)
+    return mk_sum([
+        Prefix(yes_first, random_monitor(rng, budget // 2, alphabet, (YES, END))),
+        Prefix(no_first, random_monitor(rng, budget // 2, alphabet, (NO, END))),
+    ])
+
+
 def random_shml(
     rng: random.Random,
     depth: int,

@@ -40,7 +40,7 @@ from detmon.terms import (
     verdicts_in,
     well_form,
 )
-from detmon.verdicts import nu, nu_inverse
+from detmon.verdicts import determinize_two_verdict, nu, nu_inverse
 
 N = 100_000
 A = frozenset({"a"})
@@ -184,6 +184,11 @@ def test_determinize_a_20000_deep_chain(method):
     start = time.perf_counter()
     assert determinize_monitor(chain, A, method=method, force=True) == chain
     assert time.perf_counter() - start < 4.0
+
+
+def test_determinize_two_verdict_on_a_20000_deep_chain():
+    chain = prefix_chain(["a"] * 20_000, Sum((Prefix("a", YES_), Prefix("b", NO_))))
+    assert determinize_two_verdict(chain, AB, force=True) == chain
 
 
 def test_cli_on_a_2000_deep_chain(tmp_path, capsys):

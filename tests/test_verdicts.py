@@ -1,21 +1,33 @@
-"""Conflict detection and the two-verdict determinization pipeline."""
+"""Conflict detection and the two-verdict determinization pipeline,
+checked against the marker route kept here as an oracle."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detmon import automata, cli
 from detmon.equivalence import verdict_equiv
-from detmon.semantics import StepEngine, binder_map, is_deterministic, verdicts_on
-from detmon.syntax import parse_monitor, print_term
+from detmon.families import ALPHABET_01E, mn_monitor
+from detmon.pipeline import determinize_monitor
+from detmon.semantics import CapExceeded, StepEngine, binder_map, is_deterministic, verdicts_on
+from detmon.syntax import format_term_file, parse_monitor, print_term
 from detmon.terms import (
     NO,
     NO_MARKER,
     Prefix,
+    Rec,
+    Sum,
     TermError,
     Verdict,
     YES,
+    actions_in,
     eliminate_verdict_sums,
+    fold,
+    mk_sum,
+    size,
+    subterms,
     verdicts_in,
     well_form,
 )
@@ -27,7 +39,7 @@ from detmon.verdicts import (
     nu_inverse,
 )
 
-from gen import all_words, random_two_verdict
+from gen import all_words, random_split_two_verdict, random_two_verdict, scramble
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -214,3 +226,136 @@ def test_two_verdict_random_equivalence(seed):
     assert is_deterministic(d)
     r = verdict_equiv(m, d, AB)
     assert r, (print_term(m), print_term(d), r.witness, r.verdict)
+
+
+# M_4 flags yes only on words with a 1 before their first e, so a leading
+# e can flag no without a conflict; its minimal labelled DFA has 20 states.
+M4_OR_E_NO = Sum((mn_monitor(4), Prefix("e", Verdict(NO))))
+
+
+def test_two_verdict_cap():
+    m = M4_OR_E_NO
+    assert not is_conflicting(m, ALPHABET_01E)
+    with pytest.raises(CapExceeded, match="states exceeds the cap of 12"):
+        determinize_two_verdict(m, ALPHABET_01E)
+    d = determinize_two_verdict(m, ALPHABET_01E, force=True)
+    assert is_deterministic(d)
+    assert verdict_equiv(m, d, ALPHABET_01E)
+
+
+def test_cli_two_verdict_exit_codes(tmp_path, capsys):
+    big = tmp_path / "big.mon"
+    big.write_text(format_term_file(M4_OR_E_NO, ALPHABET_01E))
+    assert cli.main(["determinize", str(big), "--two-verdict"]) == 3
+    assert "exceeds the cap of 12" in capsys.readouterr().err
+    assert cli.main(["determinize", str(big), "--two-verdict", "--force"]) == 0
+    assert capsys.readouterr().out.startswith("alphabet: 0, 1, e\n")
+
+    bad = tmp_path / "bad.mon"
+    bad.write_text("alphabet: a, b\nb.(a.yes + a.no)\n")
+    assert cli.main(["determinize", str(bad), "--two-verdict"]) == 1
+    assert "flags both yes and no on the trace b.a" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The marker route, as an oracle
+# ---------------------------------------------------------------------------
+
+
+def fold_marker(t, kids):
+    """Bottom-up: marker prefixes become ``no``, and anything that can
+    immediately go ``no`` is ``no`` (sound because the source monitor is
+    conflict-free and verdicts are irrevocable)."""
+    no = Verdict(NO)
+    if isinstance(t, Prefix) and t.action == NO_MARKER:
+        assert t.body == Verdict(YES)
+        return no
+    if isinstance(t, Sum):
+        return no if no in kids else mk_sum(kids)
+    if isinstance(t, Rec) and kids[0] == no:
+        return no
+    return t.rebuild(kids)
+
+
+def oracle_two_verdict(m, alphabet):
+    """Relocate no behind the marker action, determinize the yes-monitor
+    over the extended alphabet, and fold the marker back into no."""
+    m = well_form(m, alphabet)
+    conflict = is_conflicting(m, alphabet)
+    if conflict:
+        raise ConflictingMonitorError(conflict.witness)
+    if not {YES, NO} <= verdicts_in(m):
+        return determinize_monitor(m, alphabet, force=True)
+    prepared = nu(eliminate_verdict_sums(m, alphabet), alphabet)
+    det = determinize_monitor(prepared, alphabet | {NO_MARKER}, force=True)
+    return fold(det, fold_marker)
+
+
+def outcome(f, *args):
+    """What f returns, or the type, message and witness of what it raises."""
+    try:
+        return f(*args)
+    except (TermError, RuntimeError) as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def has_verdict_summand(m):
+    return any(
+        isinstance(t, Sum) and any(isinstance(s, Verdict) for s in t.summands)
+        for t in subterms(m)
+    )
+
+
+def test_two_verdict_matches_the_marker_route_on_generated_monitors():
+    rng = random.Random(1616)
+    kinds = {"ok": 0, "conflict": 0, "error": 0, "summands": 0}
+    for i in range(900):
+        make = random_two_verdict if i % 3 == 0 else random_split_two_verdict
+        m = make(rng, rng.randint(5, 16))
+        m = scramble(rng, m) if i % 2 else m
+        got, want = outcome(determinize_two_verdict, m, AB, True), outcome(oracle_two_verdict, m, AB)
+        if isinstance(want, tuple):
+            assert got == want, print_term(m)
+            kinds["conflict" if want[0] is ConflictingMonitorError else "error"] += 1
+            continue
+        kinds["ok"] += 1
+        kinds["summands"] += has_verdict_summand(m)
+        assert is_deterministic(got), print_term(m)
+        assert NO_MARKER not in actions_in(got), print_term(m)
+        assert verdict_equiv(m, got, AB), print_term(m)
+        assert verdict_equiv(want, got, AB), print_term(m)
+        assert size(got) <= size(want), print_term(m)
+    assert kinds["ok"] > 400 and kinds["conflict"] > 150 and kinds["summands"] > 100, kinds
+
+
+def test_two_verdict_compiles_the_monitor_once(monkeypatch):
+    rng = random.Random(1617)
+    generated = next(
+        m for m in (random_two_verdict(rng, 12) for _ in range(100))
+        if not is_conflicting(m, AB)
+    )
+    compiles = []
+    init = automata._Positions.__init__
+
+    def counted(self, *args, **kwargs):
+        compiles.append(args[0])
+        init(self, *args, **kwargs)
+
+    def marker_route(*args, **kwargs):
+        raise AssertionError("the marker route was taken")
+
+    monkeypatch.setattr(automata._Positions, "__init__", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "detmon":
+            for attr in ("nu", "eliminate_verdict_sums"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, marker_route)
+
+    outputs = []
+    for m in (parse_monitor("a.yes + b.no", AB), generated):
+        compiles.clear()
+        outputs.append((m, determinize_two_verdict(m, AB)))
+        assert len(compiles) == 1, print_term(m)
+    monkeypatch.undo()
+    for m, d in outputs:
+        assert verdict_equiv(m, d, AB), print_term(m)
