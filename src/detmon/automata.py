@@ -764,6 +764,17 @@ def _unfold(ix: _Ix, cap: int, force: bool, verdicts: tuple[str, ...] = (YES,)) 
     return fold(ix.initial, build, enter, children=targets)
 
 
+def _determinized(nfa: _Ix, force: bool, verdicts: tuple[str, ...]) -> Monitor:
+    """The deterministic monitor of an unnamed NFA table: its subsets,
+    minimized and unfolded with ``verdicts[k]`` on each edge into a state
+    of label 1 << k, under DFA_MONITOR_CAP unless forced.  The minimal
+    table is numbered canonically, so the output depends only on the
+    NFA's language and labels."""
+    table, labels = _minimal(*_determinize(nfa, nfa.symbols)[1:], 0)
+    dfa = _Ix(None, nfa.symbols, _as_succ(table), 0, labels)
+    return _unfold(dfa, DFA_MONITOR_CAP, force, verdicts)
+
+
 def nfa_to_monitor(a: Automaton, force: bool = False) -> Monitor:
     """An acceptance monitor recognising the language of an irrevocable
     NFA.  Exponential in the worst case; refuses automata above

@@ -7,8 +7,10 @@ system can be determinized subset-style (merging the targets of equal
 actions).  A system in deterministic form is a DFA of the violating
 traces, its equations the states and its ``ff`` equations accepting; that
 automaton, minimized, is unfolded into a monitor and read back as a
-single formula, the tail the automata route of
-``pipeline.determinize_monitor`` runs too.  Greatest fixpoints are
+single formula.  The equations route of ``pipeline.determinize_monitor``
+reads the flattened equations, before any system is named, as an NFA of
+the same traces and leaves the merge to the subset construction.
+Greatest fixpoints are
 solved for each equation in turn, which by Bekic's principle agrees with
 solving them simultaneously; both solvers are provided.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Dfa, dfa_to_monitor, minimize_dfa
+from .automata import Dfa, _Ix, dfa_to_monitor, minimize_dfa
 from .semantics import Lts, _reach
 from .synthesis import monitor_to_formula
 from .syntax import comma_list, file_lines, parse_formula, print_term
@@ -341,6 +343,60 @@ def is_deterministic_form_system(sys: EquationSystem) -> bool:
         return False
 
 
+# A flattened equation: None for ff, else its conjuncts in order, each a
+# box (action, target row) or the name of a variable standing unguarded.
+_Row = tuple[tuple[str, int] | str, ...] | None
+
+
+def _join(rows: list[_Row]) -> _Row:
+    """The conjunction of rows as mk_and builds it: ff absorbs, and a
+    repeated conjunct keeps its first place."""
+    out: list = []
+    for row in rows:
+        if row is None:
+            return None
+        out.extend(row)
+    return tuple(dict.fromkeys(out))
+
+
+def _flatten(f: Formula) -> tuple[list[_Row], list[str | None], int]:
+    """A safety formula as standard-form equations, one row per distinct
+    node of its standard form, added bottom-up: the rows, each row's name
+    (a fixpoint's variable, None for an auxiliary row), and the principal
+    row.  A fixpoint's row is its body's, and each unguarded occurrence
+    of its variable in the rows so far takes that row's conjuncts."""
+    f = uniquify_formula(_standardize_shml(uniquify_formula(f)))  # hoisting can duplicate a binder
+    rows: list[_Row] = []
+    names: list[str | None] = []
+
+    def add(row: _Row, name: str | None = None) -> int:
+        rows.append(row)
+        names.append(name)
+        return len(rows) - 1
+
+    def build(g: Formula, kids) -> int:
+        if isinstance(g, TT):
+            return add(())
+        if isinstance(g, FF):
+            return add(None)
+        if isinstance(g, Var):
+            return add((g.name,))
+        if isinstance(g, Box):
+            return add(((g.action, kids[0]),))
+        if isinstance(g, And):
+            return add(_join([rows[k] for k in kids]))
+        if isinstance(g, Max):
+            body = rows[kids[0]]
+            row_of_max = add(body, g.var)
+            for i, row in enumerate(rows):
+                if row and g.var in row:
+                    rows[i] = _join([body if c == g.var else (c,) for c in row])
+            return row_of_max
+        raise FragmentError(f"not a standard safety formula: {g!r}")
+
+    return rows, names, fold(f, build)
+
+
 def formula_to_system(f: Formula) -> EquationSystem:
     """Flatten a safety formula into a standard-form equation system.
 
@@ -351,108 +407,59 @@ def formula_to_system(f: Formula) -> EquationSystem:
     """
     if not is_shml(f):
         raise FragmentError("only safety formulas flatten to box-conjunction systems")
-    f = uniquify_formula(f)
-    f = _standardize_shml(f)
-    f = uniquify_formula(f)  # hoisting can duplicate a binder
+    rows, names, principal = _flatten(f)
+    binders = {n: i for i, n in enumerate(names) if n is not None}
 
-    eqs: list[tuple[str, Formula]] = []
-    index: dict[str, int] = {}
-    counter = 0
+    def references(i: int) -> list[int]:
+        return [c[1] if type(c) is tuple else binders[c]
+                for c in rows[i] or () if type(c) is tuple or c in binders]
 
-    def add(name: str, rhs: Formula) -> None:
-        index[name] = len(eqs)
-        eqs.append((name, rhs))
-
-    def fresh_add(rhs: Formula) -> str:
-        nonlocal counter
-        counter += 1
-        name = f"%{counter}"  # internal; canonicalised below
-        add(name, rhs)
-        return name
-
-    def rhs_of(name: str) -> Formula:
-        return eqs[index[name]][1]
-
-    def merge_unguarded(var: str, replacement: Formula) -> None:
-        """Replace `var` occurring as a direct conjunct by the conjuncts
-        of `replacement`, in every equation built so far."""
-        for i, (n, rhs) in enumerate(eqs):
-            conjuncts = rhs.conjuncts if isinstance(rhs, And) else (rhs,)
-            if not any(isinstance(c, Var) and c.name == var for c in conjuncts):
-                continue
-            new = mk_and(
-                replacement if isinstance(c, Var) and c.name == var else c
-                for c in conjuncts
-            )
-            eqs[i] = (n, new)
-
-    def build(g: Formula, kids) -> str:
-        if isinstance(g, (TT, FF, Var)):
-            return fresh_add(g)
-        if isinstance(g, Box):
-            return fresh_add(Box(g.action, Var(kids[0])))
-        if isinstance(g, And):
-            return fresh_add(mk_and(rhs_of(p) for p in kids))
-        if isinstance(g, Max):
-            f1 = rhs_of(kids[0])
-            add(g.var, f1)
-            merge_unguarded(g.var, f1)
-            return g.var
-        raise FragmentError(f"not a standard safety formula: {g!r}")
-
-    principal = fold(f, build)
-
-    # Prune equations unreachable from the principal.
-    def references(rhs: Formula) -> list[str]:
-        out: list[str] = []
-        conjuncts = rhs.conjuncts if isinstance(rhs, And) else (rhs,)
-        for c in conjuncts:
-            if isinstance(c, Box) and isinstance(c.body, Var):
-                out.append(c.body.name)
-            elif isinstance(c, Var):
-                out.append(c.name)
-        return out
-
-    ordered = _reach([principal], lambda n: [r for r in references(rhs_of(n)) if r in index])
-
-    # Canonical names, assigned in first-reference order from the principal.
-    frees = {v for n in ordered for v in references(rhs_of(n)) if v not in index}
+    ordered = _reach([principal], references)
+    frees = {c for i in ordered for c in rows[i] or () if type(c) is str and c not in binders}
+    # Canonical names in first-reference order from the principal, which
+    # keeps its variable's name if it has one.
     taken = set(frees)
-    renames: dict[str, str] = {}
-
-    def canonical(name: str) -> str:
-        if name in renames:
-            return renames[name]
-        if name == principal:
-            new = "X" if (principal.startswith("%") and "X" not in taken) else principal
-            if new.startswith("%"):
-                new = "X"
-                while new in taken:
-                    new += "_0"
+    renames: dict[int, str] = {}
+    for i in ordered:
+        if i == principal and names[i]:
+            new = names[i]
         else:
-            i = len(renames)
-            new = f"X_{i}"
+            new = "X" if i == principal else f"X_{len(renames)}"
             while new in taken:
                 new += "_0"
         taken.add(new)
-        renames[name] = new
-        return new
+        renames[i] = new
 
-    for n in ordered:
-        canonical(n)
+    def render(row: _Row) -> Formula:
+        if row is None:
+            return FF()
+        return mk_and([Box(c[0], Var(renames[c[1]])) if type(c) is tuple else Var(c) for c in row])
 
-    def rename_rhs(rhs: Formula) -> Formula:
-        conjuncts = rhs.conjuncts if isinstance(rhs, And) else (rhs,)
-        out: list[Formula] = []
-        for c in conjuncts:
-            if isinstance(c, Box) and isinstance(c.body, Var) and c.body.name in renames:
-                out.append(Box(c.action, Var(renames[c.body.name])))
-            else:
-                out.append(c)
-        return mk_and(out)
-
-    final = tuple((renames[n], rename_rhs(rhs_of(n))) for n in ordered)
+    final = tuple((renames[i], render(rows[i])) for i in ordered)
     return EquationSystem(final, renames[principal], frozenset(frees))
+
+
+def _flat_nfa(f: Formula, alphabet: frozenset[str]) -> _Ix:
+    """The unnamed NFA of the traces that violate a closed safety formula
+    over `alphabet`, read off its flattened equations as system_to_dfa
+    reads a system: each row a state, the principal one initial; a box an
+    edge, and an ff row accepting and looping on every symbol."""
+    rows, _, principal = _flatten(f)
+    symbols = tuple(sorted(alphabet))
+    column = {y: k for k, y in enumerate(symbols)}
+    succ: list[list[tuple[int, ...]]] = [[()] * len(rows) for _ in symbols]
+    acc = bytearray(len(rows))
+    for i, row in enumerate(rows):
+        if row is None:
+            acc[i] = 1
+            for out in succ:
+                out[i] = (i,)
+            continue
+        for c in row:
+            if type(c) is str:
+                raise TermError(f"the formula is open: free variable {c!r}")
+            succ[column[c[0]]][i] += (c[1],)
+    return _Ix(None, symbols, succ, principal, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,22 @@ Two independent routes arrive at a deterministic monitor:
   unfold back into a monitor.  Works for any single-verdict monitor and
   is the default.
 * ``equations`` — through the logic side: read the monitor (its dual,
-  for a ``yes`` monitor) back as a safety formula, flatten it into an
-  equation system and merge that into deterministic form, whose
-  equations are the states of a DFA.  Requires the monitor to be
-  end-free.
+  for a ``yes`` monitor) back as a safety formula and flatten that into
+  standard-form equations, whose rows are the states of an NFA (an
+  ``ff`` row accepting and looping on every symbol).  Requires the
+  monitor to be end-free.
 
-The routes differ only in how they build the DFA; both then minimize
-it, unfold the minimal DFA into a monitor and dualize that for ``no``.
-The automata the stages hand each other build their named fields only
-when read, so no state or transition set is made on the way.  The
-unfolding can blow up exponentially, so it refuses minimal DFAs of more
-than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
-lifts the cap.  ``bench`` runs either witness family across a range of
-sizes with a per-stage timeout and reports CSV rows.
+The routes differ only in how they build an unnamed NFA table; both
+then hand it to one kernel tail, shared with two-verdict
+determinization: subset construction, minimization, and the unfolding,
+which writes the monitor's own verdict on each goal edge.  No stage
+output is named, sorted or checked again on the way, and no equation
+system is built; the public stages (``monitor_to_nfa``,
+``formula_to_system``, ``system_to_dfa``, ...) give the same monitor
+when composed.  The unfolding can blow up exponentially, so it refuses
+minimal DFAs of more than ``DFA_MONITOR_CAP`` states on either route,
+and ``force=True`` lifts the cap.  ``bench`` runs either witness family
+across a range of sizes with a per-stage timeout and reports CSV rows.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ import time
 from typing import Callable
 
 from .automata import (
+    _determinized,
+    _Positions,
     dfa_to_monitor,
     minimize_dfa,
     monitor_to_nfa,
     subset_construction,
 )
 from .families import ALPHABET_01E, mn_monitor, un_monitor
-from .logic import determinize_system, formula_to_system, system_to_dfa
+from .logic import _flat_nfa
 from .semantics import CapExceeded
 from .synthesis import monitor_to_formula
 from .terms import (
@@ -84,11 +89,10 @@ def determinize_monitor(
         # monitor is read as the safety formula of its dual.
         e = eliminate_verdict_sums(m, alphabet)
         f = monitor_to_formula(e if verdict == NO else dualize_monitor(e))
-        dfa = system_to_dfa(determinize_system(formula_to_system(f)), alphabet)
+        nfa = _flat_nfa(f, alphabet)
     else:
-        dfa = subset_construction(monitor_to_nfa(m, verdict, alphabet))
-    det = dfa_to_monitor(minimize_dfa(dfa), force=force)
-    return det if verdict == YES else dualize_monitor(det)
+        nfa = _Positions(m, alphabet).nfa((verdict,))
+    return _determinized(nfa, force, (verdict,))
 
 
 # ---------------------------------------------------------------------------

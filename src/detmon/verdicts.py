@@ -3,13 +3,14 @@
 A monitor that can reach both ``yes`` and ``no`` on the *same* trace is
 conflicting — irrevocability would force it to stand by contradictory
 calls — and cannot be determinized meaningfully.  A conflict-free one
-is determinized on the compile of its positions that the conflict walk
-used, as the three-valued deterministic monitor of Bauer, Leucker and
-Schallhart: the subset construction runs over the monitor's alphabet on
-an NFA whose states are labelled yes where ``yes`` lies in their tau
-closure and no where ``no`` does; a subset takes its members' labels,
-which never clash; minimization starts from the partition by label; and
-the unfolding writes ``yes`` or ``no`` on each edge into a labelled state.
+is determinized on the compile of its positions, which the conflict
+walk used if both verdicts occur, as the three-valued deterministic
+monitor of Bauer, Leucker and Schallhart: the subset construction runs
+over the monitor's alphabet on an NFA whose states are labelled yes
+where ``yes`` lies in their tau closure and no where ``no`` does; a
+subset takes its members' labels, which never clash; minimization
+starts from the partition by label; and the unfolding writes ``yes`` or
+``no`` on each edge into a labelled state.
 ``nu`` and ``nu_inverse`` move every ``no`` behind a reserved marker
 action and back, making a two-verdict monitor a yes-monitor.
 """
@@ -19,9 +20,7 @@ from __future__ import annotations
 from itertools import product
 from dataclasses import dataclass
 
-from .automata import (
-    DFA_MONITOR_CAP, _Ix, _Positions, _as_succ, _determinize, _minimal, _shortest_word, _unfold,
-)
+from .automata import _Positions, _determinized, _shortest_word
 from .terms import (
     NO,
     NO_MARKER,
@@ -148,10 +147,10 @@ def determinize_two_verdict(
     route gives it.
     """
     positions = _Positions(well_form(m, alphabet), alphabet)
-    witness = _conflict(positions)
-    if witness is not None:
-        raise ConflictingMonitorError(witness)
-    nfa = positions.nfa((YES, NO))
-    table, labels = _minimal(*_determinize(nfa, nfa.symbols)[1:], 0)
-    dfa = _Ix(None, nfa.symbols, _as_succ(table), 0, labels)
-    return _unfold(dfa, DFA_MONITOR_CAP, force, (YES, NO))
+    # With one verdict or none no trace can meet both, so the walk is
+    # skipped; the compile errors it could reach, the NFA reaches too.
+    if YES in positions.verdicts and NO in positions.verdicts:
+        witness = _conflict(positions)
+        if witness is not None:
+            raise ConflictingMonitorError(witness)
+    return _determinized(positions.nfa((YES, NO)), force, (YES, NO))

@@ -120,14 +120,18 @@ def random_shml(
     rng: random.Random,
     depth: int,
     alphabet: frozenset[str] = DEFAULT_AB,
+    var_prob: float = 0.25,
+    free: tuple[str, ...] = (),
 ) -> "object":
-    """A closed random safety formula of nesting depth at most `depth`."""
+    """A random safety formula of nesting depth at most `depth`, whose
+    leaves are variables in scope with probability `var_prob`; the
+    variables `free` are in scope throughout and left free."""
     actions = sorted(alphabet)
     counter = [0]
 
     def leaf(bound: tuple[str, ...]):
         roll = rng.random()
-        if bound and roll < 0.25:
+        if bound and roll < var_prob:
             return Var(rng.choice(bound))
         return TT() if roll < 0.6 else FF()
 
@@ -145,7 +149,7 @@ def random_shml(
             return Max(name, go(depth - 1, bound + (name,)))
         return leaf(bound)
 
-    return go(depth, ())
+    return go(depth, free)
 
 
 def random_lts(

@@ -24,26 +24,39 @@ from detmon.logic import (
     system_to_dfa,
     system_to_formula,
     to_standard_form,
+    _hoist,
+    _standardize_shml,
 )
 from detmon.automata import format_automaton
 from detmon.equivalence import verdict_equiv
 from detmon.families import mn_monitor
-from detmon.semantics import parse_lts
+from detmon.semantics import _reach, parse_lts
 from detmon.synthesis import monitor_to_formula, msf
 from detmon.syntax import parse_formula, print_term
 from detmon.terms import (
     END,
+    And,
+    Box,
+    FF,
+    FragmentError,
     Max,
     NO,
+    TT,
     TermError,
+    Var,
     Verdict,
     YES,
+    binder_names,
     dualize,
     eliminate_verdict_sums,
+    fold,
     free_vars,
     is_shml,
+    mk_and,
     size,
     subst_formula,
+    subterms,
+    uniquify_formula,
     well_form,
 )
 
@@ -232,6 +245,127 @@ def test_system_of_the_running_example():
         "X_2 = ff\n"
     )
     assert is_standard_form_system(sys)
+
+
+def oracle_formula_to_system(f):
+    """formula_to_system as it was before it flattened into rows: named
+    equations built bottom-up as formulas, pruned, then renamed."""
+    if not is_shml(f):
+        raise FragmentError("only safety formulas flatten to box-conjunction systems")
+    f = uniquify_formula(f)
+    f = _standardize_shml(f)
+    f = uniquify_formula(f)
+    eqs, index, counter = [], {}, [0]
+
+    def add(name, rhs):
+        index[name] = len(eqs)
+        eqs.append((name, rhs))
+
+    def fresh_add(rhs):
+        counter[0] += 1
+        add(f"%{counter[0]}", rhs)
+        return f"%{counter[0]}"
+
+    def rhs_of(name):
+        return eqs[index[name]][1]
+
+    def conjuncts(rhs):
+        return rhs.conjuncts if isinstance(rhs, And) else (rhs,)
+
+    def merge_unguarded(var, replacement):
+        for i, (n, rhs) in enumerate(eqs):
+            if any(isinstance(c, Var) and c.name == var for c in conjuncts(rhs)):
+                eqs[i] = (n, mk_and(
+                    replacement if isinstance(c, Var) and c.name == var else c
+                    for c in conjuncts(rhs)
+                ))
+
+    def build(g, kids):
+        if isinstance(g, (TT, FF, Var)):
+            return fresh_add(g)
+        if isinstance(g, Box):
+            return fresh_add(Box(g.action, Var(kids[0])))
+        if isinstance(g, And):
+            return fresh_add(mk_and(rhs_of(p) for p in kids))
+        if isinstance(g, Max):
+            f1 = rhs_of(kids[0])
+            add(g.var, f1)
+            merge_unguarded(g.var, f1)
+            return g.var
+        raise FragmentError(f"not a standard safety formula: {g!r}")
+
+    principal = fold(f, build)
+
+    def references(rhs):
+        return [c.body.name if isinstance(c, Box) else c.name
+                for c in conjuncts(rhs)
+                if isinstance(c, Var) or isinstance(c, Box) and isinstance(c.body, Var)]
+
+    ordered = _reach([principal], lambda n: [r for r in references(rhs_of(n)) if r in index])
+    frees = {v for n in ordered for v in references(rhs_of(n)) if v not in index}
+    taken, renames = set(frees), {}
+    for name in ordered:
+        if name == principal and not name.startswith("%"):
+            new = name
+        else:
+            new = "X" if name == principal else f"X_{len(renames)}"
+            while new in taken:
+                new += "_0"
+        taken.add(new)
+        renames[name] = new
+
+    def rename_rhs(rhs):
+        return mk_and(
+            Box(c.action, Var(renames[c.body.name]))
+            if isinstance(c, Box) and isinstance(c.body, Var) and c.body.name in renames
+            else c
+            for c in conjuncts(rhs)
+        )
+
+    final = tuple((renames[n], rename_rhs(rhs_of(n))) for n in ordered)
+    return EquationSystem(final, renames[principal], frozenset(frees))
+
+
+def _hoisting_duplicates_a_binder(f):
+    names = binder_names(_standardize_shml(uniquify_formula(f)))
+    return len(set(names)) < len(names)
+
+
+def _unguarded_in_a_max_body(f):
+    return any(fold(t.body, _hoist)[1] for t in subterms(f) if isinstance(t, Max))
+
+
+def test_formula_to_system_matches_the_formula_built_oracle():
+    explicit = [
+        phi_e(),
+        parse_formula("max X. [req]([cls]ff & [res]X)", frozenset({"req", "res", "cls"})),
+        # Y's body has X unguarded, and Y is boxed twice once X is hoisted.
+        parse_formula("max X. [a](max Y. ([a]Y & [b]Y & X))", AB),
+        parse_formula("max X. (X & [a]X & max Y. (Y & X & [b]ff))", AB),
+        parse_formula("max X. [a](max Y. (X & [b](max Z. (Y & X & [a]Z))))", AB),
+        parse_formula("[a]Y & max X. [b](X & Y) & Y", AB),  # open
+        parse_formula("ff", AB),
+        parse_formula("tt", AB),
+    ]
+    rng = random.Random(1818)
+    formulas = explicit + [random_shml(rng, rng.randint(1, 6)) for _ in range(400)]
+    for _ in range(100):
+        # X stands unguarded in Y's body, and Y is boxed twice, so hoisting
+        # X out copies the binder Y.
+        parts = [random_shml(rng, 3, var_prob=0.5, free=("X", "Y")) for _ in range(3)]
+        body = mk_and([Var("X"), parts[0], Box("a", mk_and([Var("Y"), parts[1]])),
+                       Box("b", mk_and([Var("Y"), parts[2]]))])
+        formulas.append(Max("X", Box(rng.choice("ab"), Max("Y", body))))
+    for _ in range(100):  # as the equations route reads a monitor
+        m = well_form(random_monitor(rng, rng.randint(4, 24), AB, (NO,)), AB)
+        formulas.append(monitor_to_formula(eliminate_verdict_sums(m, AB)))
+    duplicated = sum(map(_hoisting_duplicates_a_binder, formulas))
+    unguarded = sum(map(_unguarded_in_a_max_body, formulas))
+    assert duplicated >= 50 and unguarded >= 100, (duplicated, unguarded)
+    for f in formulas:
+        assert formula_to_system(f) == oracle_formula_to_system(f), print_term(f)
+    with pytest.raises(FragmentError):
+        formula_to_system(parse_formula("<a>tt", AB))
 
 
 def test_determinize_system_of_the_running_example():

@@ -1,12 +1,13 @@
 """The end-to-end determinization routes, the bench harness, and the CLI."""
 
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from detmon import cli
+from detmon import automata, cli, logic
 from detmon.automata import (
     dfa_to_monitor,
     language_equiv,
@@ -16,8 +17,10 @@ from detmon.automata import (
 )
 from detmon.equivalence import verdict_equiv
 from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
+from detmon.logic import determinize_system, formula_to_system, system_to_dfa
 from detmon.pipeline import BENCH_COLUMNS, bench, bench_csv, determinize_monitor
 from detmon.semantics import CapExceeded, is_deterministic
+from detmon.synthesis import monitor_to_formula
 from detmon.syntax import format_term_file, parse_monitor, parse_monitor_file, print_term
 from detmon.terms import (
     END,
@@ -26,13 +29,15 @@ from detmon.terms import (
     TermError,
     Verdict,
     dualize_monitor,
+    eliminate_verdict_sums,
     size,
     verdicts_in,
     well_form,
 )
 from detmon.verdicts import is_conflicting
 
-from gen import random_monitor
+from gen import random_monitor, scramble
+from test_verdicts import outcome
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -90,21 +95,34 @@ def test_equations_route_with_force_finishes_m4():
     assert size(d2) == 2237
 
 
-def _public_stages(m, alphabet):
-    """The automata route written out as the composition of the public
-    stages."""
+def public_stages(m, alphabet, method="automata", force=True):
+    """determinize_monitor written out as the composition of the public
+    stages, each stage's automaton or system named in full."""
+    if method not in ("automata", "equations"):
+        raise TermError(f"unknown method {method!r}")
     m = well_form(m, alphabet)
-    verdict = YES if YES in verdicts_in(m) else NO
-    nfa = monitor_to_nfa(m, verdict, alphabet)
-    det = dfa_to_monitor(minimize_dfa(subset_construction(nfa)), force=True)
+    present = verdicts_in(m)
+    if YES in present and NO in present:
+        raise TermError("monitor carries both verdicts; use determinize_two_verdict")
+    if YES not in present and NO not in present:
+        return Verdict(END)
+    verdict = YES if YES in present else NO
+    if method == "equations":
+        e = eliminate_verdict_sums(m, alphabet)
+        f = monitor_to_formula(e if verdict == NO else dualize_monitor(e))
+        dfa = system_to_dfa(determinize_system(formula_to_system(f)), alphabet)
+    else:
+        dfa = subset_construction(monitor_to_nfa(m, verdict, alphabet))
+    det = dfa_to_monitor(minimize_dfa(dfa), force=force)
     return det if verdict == YES else dualize_monitor(det)
 
 
 def _routes(m, alphabet):
-    """Both routes give the monitor of the public stage composition."""
+    """Both routes give the monitor of their public stage composition."""
     d1 = determinize_monitor(m, alphabet, method="automata", force=True)
     d2 = determinize_monitor(m, alphabet, method="equations", force=True)
-    assert d1 == d2 == _public_stages(m, alphabet), print_term(m)
+    assert d1 == d2 == public_stages(m, alphabet), print_term(m)
+    assert d2 == public_stages(m, alphabet, "equations"), print_term(m)
     return d1
 
 
@@ -154,6 +172,86 @@ def test_routes_give_equal_small_monitors_where_substitution_blew_up():
     d = _routes(m, AB)
     assert size(d) == 25
     assert verdict_equiv(m, d, AB)
+
+
+def test_routes_match_the_public_stage_oracles_on_generated_monitors(monkeypatch):
+    """Outputs, and the type and message of every error, capped or not."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    rng = random.Random(1818)
+    cases = [(item.monitor, item.alphabet, False) for item in workloads.setup_routes(1)]
+    for i in range(700):
+        verdict = (YES, NO)[i % 2]
+        m = random_monitor(rng, rng.randint(1, 14), AB, (verdict,) if i % 3 else (verdict, END))
+        cases.append((scramble(rng, m) if i % 4 == 0 else m, AB, i % 5 == 0))
+    kinds = {"ok": 0, "cap": 0, "error": 0}
+    for m, alphabet, force in cases:
+        for method in ("automata", "equations"):
+            got = outcome(determinize_monitor, m, alphabet, method, force)
+            assert got == outcome(public_stages, m, alphabet, method, force), print_term(m)
+            if isinstance(got, tuple):
+                kinds["cap" if got[0] is CapExceeded else "error"] += 1
+            else:
+                kinds["ok"] += 1
+    assert kinds["ok"] > 1000 and kinds["cap"] > 20 and kinds["error"] > 100, kinds
+
+
+def test_determinize_monitor_runs_the_kernels_on_bare_tables(monkeypatch):
+    """No stage output is named, no equation system is built, and the
+    automata route compiles its monitor once.  The equations route still
+    reads a yes monitor through its dual, once."""
+    def forbidden(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return raiser
+
+    def everywhere(original, replacement):
+        name = original.__name__
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "detmon" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, replacement)
+
+    compiles, duals = [], []
+    init = automata._Positions.__init__
+
+    def counted_init(self, *args, **kwargs):
+        compiles.append(args[0])
+        init(self, *args, **kwargs)
+
+    def counted_dualize(m):
+        duals.append(m)
+        return dualize_monitor(m)
+
+    monkeypatch.setattr(automata, "_materialize", forbidden("_materialize"))
+    monkeypatch.setattr(logic.EquationSystem, "__init__", forbidden("EquationSystem"))
+    everywhere(determinize_system, forbidden("determinize_system"))
+    everywhere(system_to_dfa, forbidden("system_to_dfa"))
+    everywhere(dualize_monitor, counted_dualize)
+    monkeypatch.setattr(automata._Positions, "__init__", counted_init)
+
+    rng = random.Random(1819)
+    monitors = [
+        (parse_monitor("rec x. a.(a.no + x)", A), A),
+        (parse_monitor("a.yes + b.(a.yes + b.yes + yes)", AB), AB),
+        (mn_monitor(3), ALPHABET_01E),
+    ]
+    while len(monitors) < 40:
+        m = random_monitor(rng, 12, AB, ((YES, NO)[len(monitors) % 2],))
+        if verdicts_in(m):
+            monitors.append((m, AB))
+    outputs = []
+    for m, alphabet in monitors:
+        verdict = YES if YES in verdicts_in(m) else NO
+        for method in ("automata", "equations"):
+            compiles.clear()
+            duals.clear()
+            outputs.append((m, alphabet, method, determinize_monitor(m, alphabet, method, True)))
+            assert len(compiles) == (method == "automata"), print_term(m)
+            assert len(duals) == (method == "equations" and verdict == YES), print_term(m)
+    monkeypatch.undo()
+    for m, alphabet, method, d in outputs:
+        assert d == public_stages(m, alphabet, method), print_term(m)
 
 
 def test_no_verdict_monitors_are_dualized_back():

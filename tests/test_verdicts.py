@@ -7,13 +7,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detmon import automata, cli
+from detmon import automata, cli, verdicts
 from detmon.equivalence import verdict_equiv
 from detmon.families import ALPHABET_01E, mn_monitor
 from detmon.pipeline import determinize_monitor
 from detmon.semantics import CapExceeded, StepEngine, binder_map, is_deterministic, verdicts_on
 from detmon.syntax import format_term_file, parse_monitor, print_term
 from detmon.terms import (
+    END,
     NO,
     NO_MARKER,
     Prefix,
@@ -39,7 +40,7 @@ from detmon.verdicts import (
     nu_inverse,
 )
 
-from gen import all_words, random_split_two_verdict, random_two_verdict, scramble
+from gen import all_words, random_monitor, random_split_two_verdict, random_two_verdict, scramble
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -326,6 +327,38 @@ def test_two_verdict_matches_the_marker_route_on_generated_monitors():
         assert verdict_equiv(want, got, AB), print_term(m)
         assert size(got) <= size(want), print_term(m)
     assert kinds["ok"] > 400 and kinds["conflict"] > 150 and kinds["summands"] > 100, kinds
+
+
+def test_two_verdict_skips_the_conflict_walk_with_one_verdict(monkeypatch):
+    """Without both verdicts no trace can meet both: the walk is left out,
+    the output is the automata route's, and an error the walk would have
+    reached is still raised with the same type and message."""
+    nested = " + ".join(f"rec x{i}. a.yes" for i in range(10_001))
+    wide = parse_monitor(f"b.a.({nested})", AB)  # one closure of all the binders
+    walked = outcome(is_conflicting, wide, AB)
+    assert walked[0] is CapExceeded
+
+    def no_walk(positions):
+        raise AssertionError("the conflict walk ran")
+
+    monkeypatch.setattr(verdicts, "_conflict", no_walk)
+    assert outcome(determinize_two_verdict, wide, AB) == walked
+    assert outcome(determinize_monitor, wide, AB) == walked
+    m4 = mn_monitor(4)  # yes only; its minimal DFA has 18 states
+    capped = outcome(determinize_two_verdict, m4, ALPHABET_01E)
+    assert capped == outcome(determinize_monitor, m4, ALPHABET_01E)
+    assert capped[0] is CapExceeded and "18 states exceeds the cap of 12" in capped[1]
+
+    rng = random.Random(1618)
+    kinds = {"ok": 0, "error": 0}
+    for i in range(300):
+        verdict = (YES, NO)[i % 2]
+        m = random_monitor(rng, rng.randint(1, 14), AB, (verdict,) if i % 3 else (verdict, END))
+        m = scramble(rng, m) if i % 4 == 0 else m
+        got = outcome(determinize_two_verdict, m, AB, True)
+        assert got == outcome(determinize_monitor, m, AB, "automata", True), print_term(m)
+        kinds["error" if isinstance(got, tuple) else "ok"] += 1
+    assert kinds["ok"] > 200 and kinds["error"] > 10, kinds
 
 
 def test_two_verdict_compiles_the_monitor_once(monkeypatch):
