@@ -455,10 +455,10 @@ def _flat_nfa(f: Formula, alphabet: frozenset[str]) -> _Ix:
             for out in succ:
                 out[i] = (i,)
             continue
-        for c in row:
-            if type(c) is str:
-                raise TermError(f"the formula is open: free variable {c!r}")
-            succ[column[c[0]]][i] += (c[1],)
+        # The formula is closed (its monitor was well-formed), so every
+        # conjunct is a box; sorted, each successor tuple comes out sorted.
+        for action, target in sorted(row):
+            succ[column[action]][i] += (target,)
     return _Ix(None, symbols, succ, principal, acc)
 
 

@@ -11,17 +11,17 @@ Two independent routes arrive at a deterministic monitor:
   ``ff`` row accepting and looping on every symbol).  Requires the
   monitor to be end-free.
 
-The routes differ only in how they build an unnamed NFA table; both
-then hand it to one kernel tail, shared with two-verdict
-determinization: subset construction, minimization, and the unfolding,
-which writes the monitor's own verdict on each goal edge.  No stage
-output is named, sorted or checked again on the way, and no equation
-system is built; the public stages (``monitor_to_nfa``,
-``formula_to_system``, ``system_to_dfa``, ...) give the same monitor
-when composed.  The unfolding can blow up exponentially, so it refuses
-minimal DFAs of more than ``DFA_MONITOR_CAP`` states on either route,
-and ``force=True`` lifts the cap.  ``bench`` runs either witness family
-across a range of sizes with a per-stage timeout and reports CSV rows.
+The automata route composes the public stages: DFA, minimization,
+unfolding, and a dual for ``no``; each stage output pays for its state
+names and a sort by them.  The equations route reads its flattened
+equations as an unnamed NFA table and runs the kernel tail of two-verdict
+determinization on it, whose unfolding writes the monitor's own verdict;
+no stage output or equation system is built, and the result is the one
+``formula_to_system``, ``determinize_system`` and ``system_to_dfa`` give.
+The unfolding can blow up exponentially, so it refuses minimal DFAs of
+more than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
+lifts the cap.  ``bench`` runs either witness family across a range of
+sizes with a per-stage timeout and reports CSV rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Callable
 
 from .automata import (
     _determinized,
-    _Positions,
     dfa_to_monitor,
     minimize_dfa,
     monitor_to_nfa,
@@ -89,10 +88,10 @@ def determinize_monitor(
         # monitor is read as the safety formula of its dual.
         e = eliminate_verdict_sums(m, alphabet)
         f = monitor_to_formula(e if verdict == NO else dualize_monitor(e))
-        nfa = _flat_nfa(f, alphabet)
-    else:
-        nfa = _Positions(m, alphabet).nfa((verdict,))
-    return _determinized(nfa, force, (verdict,))
+        return _determinized(_flat_nfa(f, alphabet), force, (verdict,))
+    dfa = subset_construction(monitor_to_nfa(m, verdict, alphabet))
+    det = dfa_to_monitor(minimize_dfa(dfa), force=force)
+    return det if verdict == YES else dualize_monitor(det)
 
 
 # ---------------------------------------------------------------------------

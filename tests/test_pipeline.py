@@ -197,10 +197,12 @@ def test_routes_match_the_public_stage_oracles_on_generated_monitors(monkeypatch
     assert kinds["ok"] > 1000 and kinds["cap"] > 20 and kinds["error"] > 100, kinds
 
 
-def test_determinize_monitor_runs_the_kernels_on_bare_tables(monkeypatch):
-    """No stage output is named, no equation system is built, and the
-    automata route compiles its monitor once.  The equations route still
-    reads a yes monitor through its dual, once."""
+def test_equations_route_runs_the_kernels_on_bare_tables(monkeypatch):
+    """On the equations route no stage output is named, no equation
+    system is built, no monitor is compiled, and only a yes monitor is
+    dualized, once, to be read as a formula.  The automata route composes
+    the public stages: one compile, and one closing dual for a no
+    monitor."""
     def forbidden(name):
         def raiser(*args, **kwargs):
             raise AssertionError(f"{name} was called")
@@ -223,10 +225,6 @@ def test_determinize_monitor_runs_the_kernels_on_bare_tables(monkeypatch):
         duals.append(m)
         return dualize_monitor(m)
 
-    monkeypatch.setattr(automata, "_materialize", forbidden("_materialize"))
-    monkeypatch.setattr(logic.EquationSystem, "__init__", forbidden("EquationSystem"))
-    everywhere(determinize_system, forbidden("determinize_system"))
-    everywhere(system_to_dfa, forbidden("system_to_dfa"))
     everywhere(dualize_monitor, counted_dualize)
     monkeypatch.setattr(automata._Positions, "__init__", counted_init)
 
@@ -241,14 +239,19 @@ def test_determinize_monitor_runs_the_kernels_on_bare_tables(monkeypatch):
         if verdicts_in(m):
             monitors.append((m, AB))
     outputs = []
-    for m, alphabet in monitors:
-        verdict = YES if YES in verdicts_in(m) else NO
-        for method in ("automata", "equations"):
+    for method in ("automata", "equations"):
+        if method == "equations":
+            monkeypatch.setattr(automata, "_materialize", forbidden("_materialize"))
+            monkeypatch.setattr(logic.EquationSystem, "__init__", forbidden("EquationSystem"))
+            everywhere(determinize_system, forbidden("determinize_system"))
+            everywhere(system_to_dfa, forbidden("system_to_dfa"))
+        for m, alphabet in monitors:
+            dual_of = YES if method == "equations" else NO
             compiles.clear()
             duals.clear()
             outputs.append((m, alphabet, method, determinize_monitor(m, alphabet, method, True)))
             assert len(compiles) == (method == "automata"), print_term(m)
-            assert len(duals) == (method == "equations" and verdict == YES), print_term(m)
+            assert len(duals) == (dual_of in verdicts_in(m)), print_term(m)
     monkeypatch.undo()
     for m, alphabet, method, d in outputs:
         assert d == public_stages(m, alphabet, method), print_term(m)
