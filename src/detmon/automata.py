@@ -13,8 +13,12 @@ differing word.
 Every operation runs on one indexed form, built once per automaton: states
 are dense integers, each symbol has one successor list, and acceptance is
 a label byte per state: 0 rejects, 1 accepts, and the determinization of
-a two-verdict monitor labels yes 1 and no 2 through every stage.  A
-stage's output names its states only when its fields are read.
+a two-verdict monitor labels yes 1 and no 2 through every stage.  The
+compile lists every position's steps in one pass after numbering.  A
+stage's output keeps the numbering its kernel gave it and names its
+states only when something reads them; the reads whose result depends
+on order (successor lists, subset names, an NFA's unfolding) sort by
+name, so the numbering never shows.
 
 The way back — an automaton as a monitor — requires the automaton to be
 *irrevocable* (acceptance can never be escaped), mirroring how a verdict
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain, count
 from typing import Callable, Iterable, Union
 
@@ -57,26 +62,35 @@ from .terms import (
 class _Ix:
     """The indexed form of an automaton.
 
-    State i is ``names[i]``, numbered in sorted name order, so sorting
-    ids sorts names; ``succ[k][i]`` is the sorted tuple of i's successors
-    on ``symbols[k]``, symbols sorted too; ``acc[i]`` is i's label, 0
-    when i rejects.
-    A table only compared, never materialized, has no names (None).
+    ``succ[k][i]`` is the tuple of state i's successors on
+    ``symbols[k]``, symbols sorted; ``acc[i]`` is i's label, 0 when i
+    rejects.  ``name()`` makes the state names, ``names[i]`` that of i,
+    when they, or ``ids``, are first read.  An automaton built from its
+    fields (`_index`) numbers its states in sorted name order and sorts
+    each successor tuple; a stage output keeps the numbering and the
+    successor order its kernel gave it.  A table only compared, never
+    named, has no `name`.
     """
 
-    __slots__ = ("names", "ids", "symbols", "column", "succ", "initial", "acc")
-
     def __init__(
-        self, names: list[str] | None, symbols: tuple[str, ...],
-        succ: list[list[tuple[int, ...]]], initial: int, acc: bytearray,
+        self, symbols: tuple[str, ...], succ: list[list[tuple[int, ...]]], initial: int,
+        acc: bytearray, name: Callable[[], list[str]] | None = None,
     ) -> None:
-        self.names = names
-        self.ids = {q: i for i, q in enumerate(names or ())}
         self.symbols = symbols
         self.column = {y: k for k, y in enumerate(symbols)}
         self.succ = succ
         self.initial = initial
         self.acc = acc
+        self.name = name
+
+    @cached_property
+    def names(self) -> list[str]:
+        names, self.name = self.name(), None  # drop what naming needed
+        return names
+
+    @cached_property
+    def ids(self) -> dict[str, int]:
+        return {q: i for i, q in enumerate(self.names)}
 
 
 def _index(a: Automaton, deterministic: bool) -> _Ix:
@@ -88,7 +102,7 @@ def _index(a: Automaton, deterministic: bool) -> _Ix:
     names = sorted(a.states)
     symbols = tuple(sorted(a.alphabet))
     succ: list[list[tuple[int, ...]]] = [[()] * len(names) for _ in symbols]
-    ix = _Ix(names, symbols, succ, 0, bytearray(len(names)))
+    ix = _Ix(symbols, succ, 0, bytearray(len(names)), lambda: names)
     ids, column = ix.ids, ix.column
     for src, sym, dst in a.transitions:
         try:
@@ -111,28 +125,11 @@ def _index(a: Automaton, deterministic: bool) -> _Ix:
     return ix
 
 
-def _materialize(
-    cls: type, names: list[str], alphabet: frozenset[str], symbols: tuple[str, ...],
-    succ: list[list[tuple[int, ...]]], acc: bytearray,
-) -> Automaton:
-    """The automaton of a table whose state i is called names[i], 0
-    initial: its index is the table renumbered in sorted name order, and
-    its fields are named on first read.  Names that collide (subset names
-    made of names that hold '+') take the checked constructor."""
-    perm = sorted(range(len(names)), key=names.__getitem__)
-    new = [0] * len(perm)
-    for pos, i in enumerate(perm):
-        new[i] = pos
-    rows = [
-        [(new[ts[0]],) if len(ts) == 1 else tuple(sorted([new[j] for j in ts]))
-         for ts in [row[i] for i in perm]]
-        for row in succ
-    ]
-    ix = _Ix([names[i] for i in perm], symbols, rows, new[0], bytearray(acc[i] for i in perm))
+def _materialize(cls: type, alphabet: frozenset[str], ix: _Ix) -> Automaton:
+    """The automaton of a stage's table, kept as the stage numbered it;
+    its fields are named on first read."""
     a = object.__new__(cls)
     a.__dict__.update(alphabet=alphabet, _ix=ix)
-    if len(ix.ids) != len(names):
-        return cls(a.states, alphabet, a.transitions, a.initial, a.accepting)
     return a
 
 
@@ -170,7 +167,7 @@ class Nfa:
         i, k = ix.ids.get(state), ix.column.get(symbol)
         if i is None or k is None:
             return []
-        return [ix.names[j] for j in ix.succ[k][i]]
+        return sorted([ix.names[j] for j in ix.succ[k][i]])
 
 
 @dataclass(frozen=True)
@@ -210,11 +207,14 @@ def as_nfa(a: Automaton) -> Nfa:
 class _Positions:
     """A monitor's transition system under rule system "N", on integers.
 
-    One fold numbers the structurally distinct subterms, the positions;
-    a position's strong steps, tau closure, moves and weak successors are
-    found once, when a derivation first reaches it, in StepEngine's order:
-    ``rec x.m`` steps to m, ``x`` to the binder of that name, a choice
-    takes its summands' steps in turn, a verdict loops on every action.
+    One fold numbers the structurally distinct subterms, the positions,
+    children first; one loop over them in that order then lists each
+    position's strong steps in StepEngine's order: ``rec x.m`` steps to
+    m, ``x`` to the binder of that name, a choice takes its summands'
+    steps in turn, a verdict loops on every action.  A position with no
+    rules, a free variable, or a choice over one of them keeps its error,
+    raised only when a derivation reaches it.  Tau closures, moves and
+    weak successors are found once, when first asked for.
     Binders are renamed apart first when two different ones share a name.
     ``verdicts`` maps each verdict value to its position.
     """
@@ -226,11 +226,6 @@ class _Positions:
         self.cap = cap
         if not self._number(m):  # a name bound by two different binders
             self._number(rename_apart(m, alphabet))
-        n = len(self._nodes)
-        self._steps: list = [None] * n
-        self._closures: list = [None] * n
-        self._moves: list = [None] * n
-        self._weak = [[None] * n for _ in self.symbols]
 
     def _number(self, m: Monitor) -> bool:
         nodes: list[Term] = []
@@ -260,46 +255,59 @@ class _Positions:
             return i
 
         self.root = fold(m, number)
-        self._nodes, self._kids = nodes, kids_of
+        if unique:
+            self._compile(nodes, kids_of)
         return unique
 
-    def steps(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Position i's tau steps, and its other steps, each to target t
-        on ``symbols[k]`` written as the number t * len(symbols) + k."""
-        out = self._steps[i]
-        if out is None:
-            t, kids = self._nodes[i], self._kids[i]
-            taus, moves = (), ()
+    def _compile(self, nodes: list[Term], kids_of: list) -> None:
+        """Each position's tau steps, and its other steps, each to target
+        t on ``symbols[k]`` written as the number t * len(symbols) + k; a
+        position's summands come before it, and every binder is known."""
+        width = len(self.symbols)
+        column = {y: k for k, y in enumerate(self.symbols)}
+        taus: list[tuple[int, ...]] = [()] * len(nodes)
+        acts: list[tuple[int, ...]] = [()] * len(nodes)
+        errors: dict[int, Callable[[], TermError]] = {}
+        for i, t in enumerate(nodes):
+            kids = kids_of[i]
             if isinstance(t, Prefix):
                 if t.action == TAU:
-                    taus = (kids[0],)
-                elif t.action in self.symbols:
-                    moves = (kids[0] * len(self.symbols) + self.symbols.index(t.action),)
+                    taus[i] = (kids[0],)
+                elif t.action in column:
+                    acts[i] = (kids[0] * width + column[t.action],)
             elif isinstance(t, Sum):
-                parts = [self.steps(s) for s in kids]
-                taus = tuple(chain.from_iterable(p[0] for p in parts))
-                moves = tuple(chain.from_iterable(p[1] for p in parts))
+                taus[i] = sum([taus[s] for s in kids], ())
+                acts[i] = sum([acts[s] for s in kids], ())
+                if first := next((errors[s] for s in kids if s in errors), None):
+                    errors[i] = first
             elif isinstance(t, Rec):
-                taus = (kids[0],)
+                taus[i] = (kids[0],)
+            elif isinstance(t, Var) and t.name in self._binders:
+                taus[i] = (self._binders[t.name],)
             elif isinstance(t, Var):
-                if t.name not in self._binders:
-                    raise FreeVariableError(
-                        f"variable {t.name!r} has no binder in this derivation"
-                    )
-                taus = (self._binders[t.name],)
+                message = f"variable {t.name!r} has no binder in this derivation"
+                errors[i] = partial(FreeVariableError, message)
             elif isinstance(t, Verdict):
-                moves = tuple(range(i * len(self.symbols), (i + 1) * len(self.symbols)))
+                acts[i] = tuple(range(i * width, (i + 1) * width))
             elif not isinstance(t, Nil):
-                raise TermError(f"no transition rules for {t!r}")
-            out = self._steps[i] = (taus, moves)
-        return out
+                errors[i] = partial(TermError, f"no transition rules for {t!r}")
+        self._taus, self._acts, self._errors = taus, acts, errors
+        self._closures: list = [None] * len(nodes)
+        self._moves: list = [None] * len(nodes)
+        self._weak: dict[int, tuple[int, ...]] = {}
+
+    def _tau(self, i: int) -> tuple[int, ...]:
+        error = self._errors.get(i)
+        if error is not None:
+            raise error()
+        return self._taus[i]
 
     def closure(self, i: int) -> tuple[int, ...]:
         """Position i's tau closure, in discovery order; CapExceeded once
         it holds more than `cap` positions."""
         c = self._closures[i]
         if c is None:
-            taus = lambda j: self.steps(j)[0]
+            taus = self._tau if self._errors else self._taus.__getitem__
             if not taus(i):
                 return (i,)
             c = self._closures[i] = tuple(_reach((i,), taus, self.cap))
@@ -310,20 +318,29 @@ class _Positions:
         one tuple per symbol, each in discovery order."""
         out = self._moves[i]
         if out is None:
-            n, buckets = len(self.symbols), [{} for _ in self.symbols]
-            for c in chain.from_iterable(self.steps(p)[1] for p in self.closure(i)):
-                buckets[c % n][c // n] = None
-            out = self._moves[i] = [tuple(b) for b in buckets]
+            c, acts, width = self.closure(i), self._acts, len(self.symbols)
+            steps = acts[i] if len(c) == 1 else [x for p in c for x in acts[p]]
+            buckets: list[dict[int, None]] = [{} for _ in range(width)]
+            for x in steps:
+                buckets[x % width][x // width] = None
+            out = [tuple(b) for b in buckets]
+            self._moves[i] = out
         return out
+
+    def _join(self, targets: tuple[int, ...]) -> tuple[int, ...]:
+        """The tau closures of `targets`, joined in discovery order."""
+        if len(targets) == 1:
+            return self.closure(targets[0])
+        closure = self.closure
+        return tuple(dict.fromkeys([q for t in targets for q in closure(t)]))
 
     def weak(self, i: int, k: int) -> tuple[int, ...]:
         """Position i's weak successors on ``symbols[k]``, the tau closures
         of its targets, in discovery order."""
-        w = self._weak[k][i]
+        key = i * len(self.symbols) + k
+        w = self._weak.get(key)
         if w is None:
-            closure = self.closure
-            w = tuple(dict.fromkeys(q for t in self.moves(i)[k] for q in closure(t)))
-            self._weak[k][i] = w
+            w = self._weak[key] = self._join(self.moves(i)[k])
         return w
 
     def reachable(self) -> list[int]:
@@ -333,20 +350,24 @@ class _Positions:
 
     def nfa(self, verdicts: tuple[str, ...]) -> _Ix:
         """The unnamed NFA of the positions the root reaches by weak
-        steps, numbered breadth-first; a state's label has bit 1 << k
-        where ``verdicts[k]`` lies in its tau closure."""
-        ks = range(len(self.symbols))
-        order = _reach((self.root,), lambda p: chain.from_iterable(self.weak(p, k) for k in ks))
-        number = {p: i for i, p in enumerate(order)}
-        succ = [[tuple([number[q] for q in self.weak(p, k)]) for p in order] for k in ks]
-        closures = list(map(self.closure, order))
-        acc = bytearray(len(order))
-        for k, v in enumerate(verdicts):
-            target = self.verdicts.get(v, -1)
-            for i, c in enumerate(closures):
-                if target in c:
-                    acc[i] |= 1 << k
-        return _Ix(None, self.symbols, succ, 0, acc)
+        steps, numbered breadth-first, each state's successors in
+        discovery order; a state's label has bit 1 << k where
+        ``verdicts[k]`` lies in its tau closure."""
+        number, order = {self.root: 0}, [self.root]
+        succ: list[list[tuple[int, ...]]] = [[] for _ in self.symbols]
+        for p in order:
+            for targets, out in zip(self.moves(p), succ):
+                row = []
+                for q in self._join(targets):
+                    j = number.get(q)
+                    if j is None:
+                        j = number[q] = len(order)
+                        order.append(q)
+                    row.append(j)
+                out.append(tuple(row))
+        goals = [(1 << k, self.verdicts.get(v, -1)) for k, v in enumerate(verdicts)]
+        acc = bytearray(sum([bit for bit, g in goals if g in self.closure(p)]) for p in order)
+        return _Ix(self.symbols, succ, 0, acc)
 
 
 def monitor_to_nfa(
@@ -366,8 +387,9 @@ def monitor_to_nfa(
             f"monitor carries the {other!r} verdict; not a {accept_verdict}-monitor"
         )
     ix = positions.nfa((accept_verdict,))
-    names = [f"q{i}" for i in range(len(ix.acc))]
-    return _materialize(Nfa, names, alphabet, ix.symbols, ix.succ, ix.acc)
+    n = len(ix.acc)
+    ix.name = lambda: [f"q{i}" for i in range(n)]
+    return _materialize(Nfa, alphabet, ix)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +586,28 @@ def _as_succ(table: _Table) -> list[list[tuple[int, ...]]]:
 def subset_construction(a: Nfa) -> Dfa:
     """Reachable-subset determinization.  The empty subset is left out,
     so the result may be partial.  A subset state is named by its
-    members' names in sorted order, joined with '+'."""
+    members' names in sorted order, joined with '+'; TermError when two
+    states would share a name."""
     ix = a._ix
     subsets, table, acc = _determinize(ix, ix.symbols)
-    n = ix.names
-    names = [n[s] if type(s) is int else "+".join([n[q] for q in sorted(s)]) for s in subsets]
-    return _materialize(Dfa, names, a.alphabet, ix.symbols, _as_succ(table), acc)
+    out = _Ix(ix.symbols, _as_succ(table), 0, acc, lambda: _subset_names(ix.names, subsets))
+    # Subset names can collide only when some state's name holds '+'; no
+    # generated name does, so only names made already (as an automaton
+    # built from its fields has them) can, and they are checked now.
+    if "names" in vars(ix) and any("+" in q for q in ix.names):
+        out.names = _subset_names(ix.names, subsets)
+    return _materialize(Dfa, a.alphabet, out)
+
+
+def _subset_names(names: list[str], subsets: list[int | frozenset[int]]) -> list[str]:
+    """Each subset's name: its members' names in sorted order, joined
+    with '+'; TermError when two subsets come out with one name."""
+    out = [names[s] if type(s) is int else "+".join(sorted([names[q] for q in s]))
+           for s in subsets]
+    if len(set(out)) < len(out):
+        twice = next(q for q in out if out.count(q) > 1)
+        raise TermError(f"two subset states are named {twice!r}; state names that hold '+' collide")
+    return out
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
@@ -583,8 +621,9 @@ def minimize_dfa(d: Dfa) -> Dfa:
     ix = d._ix
     table = [[t[0] if t else -1 for t in row] for row in ix.succ]
     out, acc = _minimal(table, ix.acc, ix.initial)
-    names = [f"s{i}" for i in range(len(acc))]
-    return _materialize(Dfa, names, d.alphabet, ix.symbols, _as_succ(out), acc)
+    n = len(acc)
+    return _materialize(Dfa, d.alphabet, _Ix(
+        ix.symbols, _as_succ(out), 0, acc, lambda: [f"s{i}" for i in range(n)]))
 
 
 def _subset_steps(moves: Callable, width: int) -> Callable:
@@ -686,7 +725,8 @@ def _unfold(ix: _Ix, cap: int, force: bool, verdicts: tuple[str, ...] = (YES,)) 
     above `cap` states unless forced.
 
     A state's edges, and so its children, come in edge order: by symbol,
-    and on one symbol the goals first, then the other targets by state.  A
+    and on one symbol the goals first, then the other targets in the
+    order of the table (nfa_to_monitor sorts them by name first).  A
     path node becomes a binder only when a back-edge names it; binders
     are named x0, x1, ... as their first back-edge is met, so on a DFA
     the output does not depend on how the states are numbered."""
@@ -771,15 +811,18 @@ def _determinized(nfa: _Ix, force: bool, verdicts: tuple[str, ...]) -> Monitor:
     table is numbered canonically, so the output depends only on the
     NFA's language and labels."""
     table, labels = _minimal(*_determinize(nfa, nfa.symbols)[1:], 0)
-    dfa = _Ix(None, nfa.symbols, _as_succ(table), 0, labels)
+    dfa = _Ix(nfa.symbols, _as_succ(table), 0, labels)
     return _unfold(dfa, DFA_MONITOR_CAP, force, verdicts)
 
 
 def nfa_to_monitor(a: Automaton, force: bool = False) -> Monitor:
     """An acceptance monitor recognising the language of an irrevocable
     NFA.  Exponential in the worst case; refuses automata above
-    NFA_MONITOR_CAP states unless forced."""
-    return _unfold(a._ix, NFA_MONITOR_CAP, force)
+    NFA_MONITOR_CAP states unless forced.  Targets on one symbol are
+    unfolded in the order of their names."""
+    ix, key = a._ix, a._ix.names.__getitem__
+    succ = [[tuple(sorted(ts, key=key)) for ts in row] for row in ix.succ]
+    return _unfold(_Ix(ix.symbols, succ, ix.initial, ix.acc), NFA_MONITOR_CAP, force)
 
 
 def dfa_to_monitor(d: Dfa, force: bool = False) -> Monitor:

@@ -455,11 +455,10 @@ def _flat_nfa(f: Formula, alphabet: frozenset[str]) -> _Ix:
             for out in succ:
                 out[i] = (i,)
             continue
-        # The formula is closed (its monitor was well-formed), so every
-        # conjunct is a box; sorted, each successor tuple comes out sorted.
-        for action, target in sorted(row):
+        # The formula is closed (its monitor was well-formed): all boxes.
+        for action, target in row:
             succ[column[action]][i] += (target,)
-    return _Ix(None, symbols, succ, principal, acc)
+    return _Ix(symbols, succ, principal, acc)
 
 
 # ---------------------------------------------------------------------------

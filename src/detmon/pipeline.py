@@ -12,12 +12,13 @@ Two independent routes arrive at a deterministic monitor:
   monitor to be end-free.
 
 The automata route composes the public stages: DFA, minimization,
-unfolding, and a dual for ``no``; each stage output pays for its state
-names and a sort by them.  The equations route reads its flattened
-equations as an unnamed NFA table and runs the kernel tail of two-verdict
-determinization on it, whose unfolding writes the monitor's own verdict;
-no stage output or equation system is built, and the result is the one
-``formula_to_system``, ``determinize_system`` and ``system_to_dfa`` give.
+unfolding, and a dual for ``no``; their outputs keep their kernels'
+numbering and are never named on the way.  The equations route reads
+its flattened equations as an unnamed NFA table and runs the kernel tail
+of two-verdict determinization on it, whose unfolding writes the
+monitor's own verdict; no stage output or equation system is built, and
+the result is the one ``formula_to_system``, ``determinize_system`` and
+``system_to_dfa`` give.
 The unfolding can blow up exponentially, so it refuses minimal DFAs of
 more than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
 lifts the cap.  ``bench`` runs either witness family across a range of
@@ -89,8 +90,11 @@ def determinize_monitor(
         e = eliminate_verdict_sums(m, alphabet)
         f = monitor_to_formula(e if verdict == NO else dualize_monitor(e))
         return _determinized(_flat_nfa(f, alphabet), force, (verdict,))
-    dfa = subset_construction(monitor_to_nfa(m, verdict, alphabet))
-    det = dfa_to_monitor(minimize_dfa(dfa), force=force)
+    # One expression, so that the subset DFA, which keeps its subsets
+    # until its names are read, is dropped before the unfolding.
+    det = dfa_to_monitor(
+        minimize_dfa(subset_construction(monitor_to_nfa(m, verdict, alphabet))), force=force
+    )
     return det if verdict == YES else dualize_monitor(det)
 
 
@@ -99,24 +103,19 @@ def determinize_monitor(
 # ---------------------------------------------------------------------------
 
 BENCH_COLUMNS = (
-    "family",
-    "n",
-    "monitor_size",
-    "nfa_states",
-    "subset_states",
-    "min_dfa_states",
-    "det_monitor_size",
-    "t_nfa",
-    "t_subset",
-    "t_min",
-    "t_unfold",
-    "status",
+    "family", "n", "monitor_size", "nfa_states", "subset_states", "min_dfa_states",
+    "det_monitor_size", "t_nfa", "t_subset", "t_min", "t_unfold", "status",
 )
 
-_FAMILIES: dict[str, Callable[[int], Monitor]] = {
-    "mn": mn_monitor,
-    "un": un_monitor,
-}
+_FAMILIES: dict[str, Callable[[int], Monitor]] = {"mn": mn_monitor, "un": un_monitor}
+
+# Each stage: its time column's suffix, its size column, and its run.
+_BENCH_STAGES: tuple[tuple[str, str, Callable], ...] = (
+    ("nfa", "nfa_states", lambda m: monitor_to_nfa(m, YES, ALPHABET_01E)),
+    ("subset", "subset_states", subset_construction),
+    ("min", "min_dfa_states", minimize_dfa),
+    ("unfold", "det_monitor_size", lambda d: dfa_to_monitor(d, force=True)),
+)
 
 
 class _StageTimeout(Exception):
@@ -156,34 +155,15 @@ def bench(
     rows: list[dict[str, object]] = []
     for n in range(min_n, max_n + 1):
         row: dict[str, object] = {c: "" for c in BENCH_COLUMNS}
-        row["family"] = family
-        row["n"] = n
-        row["status"] = "ok"
+        row.update(family=family, n=n, status="ok")
         try:
-            mon = build(n)
-            row["monitor_size"] = size(mon)
-
-            t0 = time.perf_counter()
-            nfa = _with_timeout(
-                timeout, lambda: monitor_to_nfa(mon, YES, ALPHABET_01E)
-            )
-            row["t_nfa"] = round(time.perf_counter() - t0, 4)
-            row["nfa_states"] = len(nfa.states)
-
-            t0 = time.perf_counter()
-            subsets = _with_timeout(timeout, lambda: subset_construction(nfa))
-            row["t_subset"] = round(time.perf_counter() - t0, 4)
-            row["subset_states"] = len(subsets.states)
-
-            t0 = time.perf_counter()
-            dfa = _with_timeout(timeout, lambda: minimize_dfa(subsets))
-            row["t_min"] = round(time.perf_counter() - t0, 4)
-            row["min_dfa_states"] = len(dfa.states)
-
-            t0 = time.perf_counter()
-            det = _with_timeout(timeout, lambda: dfa_to_monitor(dfa, force=True))
-            row["t_unfold"] = round(time.perf_counter() - t0, 4)
-            row["det_monitor_size"] = size(det)
+            out: object = build(n)
+            row["monitor_size"] = size(out)
+            for stage, column, run in _BENCH_STAGES:
+                t0 = time.perf_counter()
+                out = _with_timeout(timeout, lambda: run(out))
+                row[f"t_{stage}"] = round(time.perf_counter() - t0, 4)
+                row[column] = size(out) if stage == "unfold" else len(out.states)
         except _StageTimeout:
             row["status"] = "timeout"
         except CapExceeded:

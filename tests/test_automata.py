@@ -1,6 +1,7 @@
 """Automata algorithms, checked against brute-force oracles."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,17 +168,66 @@ def test_stage_outputs_equal_their_constructed_copies(seed):
         assert format_automaton(fresh) == format_automaton(copy)
 
 
-def test_subset_names_that_collide_are_merged():
+# y leads from a to the subset {a, b}, whose name 'a+b' is a state's.
+COLLIDING = """\
+states: a, b, a+b
+alphabet: x, y
+initial: a
+accepting: a+b
+a -x-> a+b
+a -y-> a
+a -y-> b
+"""
+
+
+def test_subset_names_that_collide_are_refused():
+    """A subset named like another state (names that hold '+') would
+    merge the two and change the language, so it is an error."""
     nfa = Nfa(
         frozenset({"p", "q", "p+q"}), frozenset({"x", "y"}),
         frozenset({("p", "x", "p"), ("p", "x", "q"), ("p", "y", "p+q")}), "p",
         frozenset({"q"}),
     )
-    dfa = subset_construction(nfa)
-    assert dfa.states == {"p", "p+q"} and dfa.accepting == {"p+q"}
-    assert dfa.transitions == {
-        ("p", "x", "p+q"), ("p", "y", "p+q"), ("p+q", "x", "p+q"), ("p+q", "y", "p+q")
-    }
+    with pytest.raises(TermError, match=r"two subset states are named 'p\+q'"):
+        subset_construction(nfa)
+    nfa = parse_automaton(COLLIDING)
+    with pytest.raises(TermError, match=r"two subset states are named 'a\+b'"):
+        subset_construction(nfa)
+    # Names that hold '+' without a collision keep their subsets apart.
+    fine = Nfa(nfa.states, nfa.alphabet, nfa.transitions - {("a", "y", "b")}, "a", nfa.accepting)
+    dfa = subset_construction(fine)
+    assert dfa.states == {"a", "a+b"} and language_equiv(dfa, fine)
+
+
+@pytest.mark.parametrize("source", ["generated", 1, 2, 3])
+def test_order_dependent_reads_do_not_see_the_stage_numbering(source, monkeypatch):
+    """A stage output keeps the numbering its kernel gave it, so the reads
+    whose result depends on order sort by name: successor lists, the
+    member order inside subset names, and the unfolding of an NFA all
+    equal those of the same NFA built through the constructor, on
+    generated monitors and on the benchmark's routes inputs."""
+    if source == "generated":
+        rng = random.Random(19)
+        cases = [(random_monitor(rng, rng.randint(4, 16), AB, (v,)), v) for v in [YES, NO] * 150]
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        cases = [(item.monitor, item.verdict) for item in workloads.setup_routes(source)]
+    unfolded = 0
+    for m, verdict in cases:
+        a = monitor_to_nfa(m, verdict, AB)
+        b = Nfa(*[getattr(monitor_to_nfa(m, verdict, AB), f) for f in FIELDS])
+        for q in sorted(a.states):
+            for y in sorted(AB):
+                assert a.succ(q, y) == sorted(a.succ(q, y)) == b.succ(q, y)
+        assert subset_construction(monitor_to_nfa(m, verdict, AB)).states == \
+            subset_construction(b).states
+        if len(a.states) <= 14:
+            fresh = nfa_to_monitor(monitor_to_nfa(m, verdict, AB), force=True)
+            assert fresh == nfa_to_monitor(b, force=True), print_term(m)
+            unfolded += 1
+    assert unfolded >= 100
 
 
 def test_subset_construction_of_running_example():

@@ -37,6 +37,7 @@ from detmon.terms import (
 from detmon.verdicts import is_conflicting
 
 from gen import random_monitor, scramble
+from test_automata import COLLIDING
 from test_verdicts import outcome
 
 A = frozenset({"a"})
@@ -484,6 +485,13 @@ def test_cli_rejects_an_unknown_automaton_type(tmp_path, capsys):
     a = _mfile(tmp_path, "a.aut", "type: dfaa\nstates: q0\nalphabet: a\ninitial: q0\naccepting:\n")
     assert cli.main(["to-dfa", a]) == 2
     assert "nfa or dfa" in capsys.readouterr().err
+
+
+def test_cli_refuses_subset_names_that_collide(tmp_path, capsys):
+    a = _mfile(tmp_path, "a.aut", COLLIDING)
+    assert cli.main(["to-dfa", a]) == 2
+    assert "two subset states are named 'a+b'" in capsys.readouterr().err
+    assert cli.main(["to-dfa", a, "--minimize"]) == 2
 
 
 @pytest.mark.parametrize("error, code, message", [
