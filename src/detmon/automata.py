@@ -54,7 +54,6 @@ from .terms import (
     Var,
     Verdict,
     fold,
-    mk_sum,
     rename_apart,
 )
 
@@ -348,17 +347,20 @@ class _Positions:
         the first compile error a trace can reach is raised here."""
         return _reach((self.root,), lambda p: chain.from_iterable(self.moves(p)))
 
-    def nfa(self, verdicts: tuple[str, ...]) -> _Ix:
+    def nfa(self, verdicts: tuple[str, ...], weak: bool = True) -> _Ix:
         """The unnamed NFA of the positions the root reaches by weak
         steps, numbered breadth-first, each state's successors in
         discovery order; a state's label has bit 1 << k where
-        ``verdicts[k]`` lies in its tau closure."""
+        ``verdicts[k]`` lies in its tau closure.  Not `weak`, the states
+        are the root and the action targets, each state's successors its
+        moves: the same language and labels, on fewer states."""
+        join = self._join if weak else tuple  # a tuple of moves is its own row
         number, order = {self.root: 0}, [self.root]
         succ: list[list[tuple[int, ...]]] = [[] for _ in self.symbols]
         for p in order:
             for targets, out in zip(self.moves(p), succ):
                 row = []
-                for q in self._join(targets):
+                for q in join(targets):
                     j = number.get(q)
                     if j is None:
                         j = number[q] = len(order)
@@ -450,23 +452,36 @@ def irrevocable_closure(a: Nfa) -> Nfa:
 _Table = list[list[int]]
 
 
+class _Clash(Exception):
+    """A subset holds both bits of a two-verdict labelling."""
+
+
 def _determinize(
-    ix: _Ix, symbols: tuple[str, ...]
+    ix: _Ix, symbols: tuple[str, ...], fail_fast: Callable[[], None] | None = None
 ) -> tuple[list[int | frozenset[int]], _Table, bytearray]:
     """Reachable-subset construction over `symbols`, which may hold
     symbols the automaton lacks: the subsets in the order found, the
     start first, one state as its number and more as a frozenset; their
     table, the empty subset left out as -1; and each subset's label, the
-    OR of its members', which must not hold both bits of a two-verdict
-    labelling.  Successor lists become frozensets only at the first
-    larger subset."""
+    OR of its members', found with it: _Clash at the first with both
+    bits of a two-verdict labelling.  `fail_fast` runs once the subsets
+    outnumber the pairs of states.  Successor lists become frozensets
+    only at the first larger subset."""
     none = [()] * len(ix.acc)
     rows = [ix.succ[k] if (k := ix.column.get(y)) is not None else none for y in symbols]
+    ones = {q for q, f in enumerate(ix.acc) if f & 1}
+    twos = {q for q, f in enumerate(ix.acc) if f & 2}
     number: dict[int | frozenset[int], int] = {ix.initial: 0}
     subsets: list[int | frozenset[int]] = [ix.initial]
+    acc = bytearray([ix.acc[ix.initial]])
+    if acc[0] == 3:  # both verdicts on the empty trace
+        raise _Clash
     table: _Table = [[] for _ in symbols]
     sets = False
+    pairs = len(ix.acc) ** 2
     for subset in subsets:
+        if fail_fast and len(subsets) > pairs:
+            fail_fast = fail_fast()  # returns None: it runs once
         single = type(subset) is int
         if not (single or sets):
             rows, sets = [[frozenset(t) for t in row] for row in rows], True
@@ -483,14 +498,12 @@ def _determinize(
             if t is None:
                 t = number[key] = len(subsets)
                 subsets.append(key)
+                f = ix.acc[key] if type(key) is int else (
+                    (not ones.isdisjoint(key)) | (not twos.isdisjoint(key)) << 1)
+                if f == 3:
+                    raise _Clash
+                acc.append(f)
             out.append(t)
-    ones = {q for q, f in enumerate(ix.acc) if f & 1}
-    twos = {q for q, f in enumerate(ix.acc) if f & 2}
-    acc = bytearray(
-        ix.acc[s] if type(s) is int else (not ones.isdisjoint(s)) | (not twos.isdisjoint(s)) << 1
-        for s in subsets
-    )
-    assert 3 not in acc, "a subset holds both verdicts"
     return subsets, table, acc
 
 
@@ -766,28 +779,29 @@ def _unfold(ix: _Ix, cap: int, force: bool, verdicts: tuple[str, ...] = (YES,)) 
             out.extend((y, t) for t in row[s] if live[t] and not acc[t])
 
     # The states on the current path, each with its binder once a
-    # back-edge names it.  fold walks depth-first, so entering a state
-    # puts it on the path and building it takes it off.
+    # back-edge names it.  fold walks depth-first: entering a state puts
+    # it on the path and lists one child per target off the path (so a
+    # binder in it stays singly bound), which fold asks for next and hands
+    # the build as its environment; building takes the state off.
     on_path: dict[int, str | None] = {}
-
-    def targets(s: int) -> list[int]:
-        # One extension per target, so parallel edges to it share a single
-        # node (a binder in it stays singly bound).
-        return list(dict.fromkeys(t for _, t in edges[s] if t >= 0 and t not in on_path))
-
+    visit: list[int] = []
     fresh, visits = count(), count(1)
+    shared = {(y, -f): Prefix(y, v) for y in ix.symbols for f, v in goals.items()}
 
-    def enter(s: int, env: None) -> None:
+    def enter(s: int, env: None) -> list[int]:
+        nonlocal visit
         if next(visits) > _MAX_PATHS:
             raise CapExceeded("path unfolding grew past the internal limit")
         on_path[s] = None
+        visit = list(dict.fromkeys(t for _, t in edges[s] if t >= 0 and t not in on_path))
+        return visit
 
-    def build(s: int, kids, env: None) -> Monitor:
-        built = dict(zip(targets(s), kids))
+    def build(s: int, kids, targets: list[int]) -> Monitor:
+        built = dict(zip(targets, kids))
         summands: list[Monitor] = []
         for sym, t in edges[s]:
             if t < 0:
-                summands.append(Prefix(sym, goals[-t]))
+                summands.append(shared[sym, t])
             elif t in built:
                 summands.append(Prefix(sym, built[t]))
             else:
@@ -798,19 +812,21 @@ def _unfold(ix: _Ix, cap: int, force: bool, verdicts: tuple[str, ...] = (YES,)) 
         name = on_path.pop(s)
         if not summands:
             return Verdict(END)
-        body = mk_sum(summands)
+        # Every summand is a prefix, so the choice is flat as it stands.
+        body = summands[0] if len(summands) == 1 else Sum(tuple(summands))
         return body if name is None else Rec(name, body)
 
-    return fold(ix.initial, build, enter, children=targets)
+    return fold(ix.initial, build, enter, children=lambda s: visit)
 
 
-def _determinized(nfa: _Ix, force: bool, verdicts: tuple[str, ...]) -> Monitor:
-    """The deterministic monitor of an unnamed NFA table: its subsets,
-    minimized and unfolded with ``verdicts[k]`` on each edge into a state
-    of label 1 << k, under DFA_MONITOR_CAP unless forced.  The minimal
-    table is numbered canonically, so the output depends only on the
-    NFA's language and labels."""
-    table, labels = _minimal(*_determinize(nfa, nfa.symbols)[1:], 0)
+def _determinized(nfa: _Ix, force: bool, verdicts: tuple[str, ...], fail_fast=None) -> Monitor:
+    """The deterministic monitor of an unnamed NFA table: its subsets
+    (`fail_fast` as _determinize takes it), minimized and unfolded with
+    ``verdicts[k]`` on each edge into a state of label 1 << k, under
+    DFA_MONITOR_CAP unless forced.  The minimal table is numbered
+    canonically, so the output depends only on the NFA's language and
+    labels."""
+    table, labels = _minimal(*_determinize(nfa, nfa.symbols, fail_fast)[1:], 0)
     dfa = _Ix(nfa.symbols, _as_succ(table), 0, labels)
     return _unfold(dfa, DFA_MONITOR_CAP, force, verdicts)
 

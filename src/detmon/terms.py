@@ -684,11 +684,12 @@ def _collapse(t: Monitor, kids) -> Monitor:
     if isinstance(t, Rec):
         return kids[0] if isinstance(kids[0], Verdict) else t.rebuild(kids)
     if isinstance(t, Sum):
-        # A recursion right inside a choice keeps its binder over a verdict.
-        return mk_sum(
-            Rec(s.var, k) if isinstance(s, Rec) and isinstance(k, Verdict) else k
+        # A recursion right inside a choice keeps its binder over a verdict;
+        # no summand becomes a choice.
+        return t.rebuild([
+            s.rebuild((k,)) if isinstance(s, Rec) and isinstance(k, Verdict) else k
             for s, k in zip(t.summands, kids)
-        )
+        ])
     if isinstance(t, (Prefix, Verdict, Var)):
         return t.rebuild(kids)
     raise TermError(f"not a monitor term: {t!r}")
@@ -804,15 +805,12 @@ def eliminate_verdict_sums(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     actions = sorted(alphabet)
 
     def step(t: Monitor, kids) -> Monitor:
-        if isinstance(t, Sum):
+        if isinstance(t, Sum) and any(isinstance(s, Verdict) for s in kids):
             out: list[Monitor] = []
             for s in kids:
-                if isinstance(s, Verdict):
-                    out.extend(Prefix(a, s) for a in actions)
-                else:
-                    out.append(s)
+                out.extend([Prefix(a, s) for a in actions] if isinstance(s, Verdict) else [s])
             return mk_sum(out)
-        if isinstance(t, (Verdict, Var, Prefix, Rec)):
+        if isinstance(t, (Verdict, Var, Prefix, Rec, Sum)):
             return t.rebuild(kids)
         raise TermError(f"not a monitor term: {t!r}")
 

@@ -3,14 +3,15 @@
 A monitor that can reach both ``yes`` and ``no`` on the *same* trace is
 conflicting — irrevocability would force it to stand by contradictory
 calls — and cannot be determinized meaningfully.  A conflict-free one
-is determinized on the compile of its positions, which the conflict
-walk used if both verdicts occur, as the three-valued deterministic
-monitor of Bauer, Leucker and Schallhart: the subset construction runs
-over the monitor's alphabet on an NFA whose states are labelled yes
-where ``yes`` lies in their tau closure and no where ``no`` does; a
-subset takes its members' labels, which never clash; minimization
-starts from the partition by label; and the unfolding writes ``yes`` or
-``no`` on each edge into a labelled state.
+is determinized on one compile of its positions as the three-valued
+deterministic monitor of Bauer, Leucker and Schallhart: the subset
+construction runs on an NFA of the root and its action targets, each
+labelled yes where ``yes`` lies in its tau closure and no where ``no``
+does; a subset takes its members' labels as it is found, the first with
+both being a conflict, which a breadth-first walk over pairs of
+positions names; minimization starts from the partition by label; and
+the unfolding writes ``yes`` or ``no`` on each edge into a labelled
+state.
 ``nu`` and ``nu_inverse`` move every ``no`` behind a reserved marker
 action and back, making a two-verdict monitor a yes-monitor.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 from dataclasses import dataclass
 
-from .automata import _Positions, _determinized, _shortest_word
+from .automata import _Clash, _Positions, _determinized, _shortest_word
 from .terms import (
     NO,
     NO_MARKER,
@@ -32,7 +33,6 @@ from .terms import (
     Verdict,
     actions_in,
     fold,
-    mk_sum,
     subterms,
     well_form,
 )
@@ -84,9 +84,7 @@ def nu(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     def step(t: Monitor, kids) -> Monitor:
         if isinstance(t, Verdict):
             return Prefix(NO_MARKER, Verdict(YES)) if t.value == NO else t
-        if isinstance(t, Sum):
-            return mk_sum(kids)
-        return t.rebuild(kids)
+        return t.rebuild(kids)  # no summand becomes a choice
 
     return fold(m, step)
 
@@ -103,9 +101,7 @@ def nu_inverse(m: Monitor) -> Monitor:
                     f"marker action {NO_MARKER!r} must be followed by yes"
                 )
             return Verdict(NO)
-        if isinstance(t, Sum):
-            return mk_sum(kids)
-        return t.rebuild(kids)
+        return t.rebuild(kids)  # no summand becomes a choice
 
     return fold(m, step)
 
@@ -130,7 +126,9 @@ def _conflict(positions: _Positions) -> tuple[str, ...] | None:
 
 def is_conflicting(m: Monitor, alphabet: frozenset[str]) -> ConflictResult:
     """Can any single trace be flagged with both verdicts?  The witness,
-    when there is one, is a shortest conflicted trace."""
+    when there is one, is a shortest conflicted trace, though not always
+    the shortlex-least: one trace leads to several pairs of positions,
+    and each pair's symbols are tried before the next pair's."""
     witness = _conflict(_Positions(m, alphabet))
     return ConflictResult(False) if witness is None else ConflictResult(True, witness)
 
@@ -140,17 +138,25 @@ def determinize_two_verdict(
 ) -> Monitor:
     """Determinize a conflict-free monitor that may carry both verdicts.
 
-    Raises ConflictingMonitorError (with a shortest conflicted trace)
-    when the two verdicts can collide, and CapExceeded when the minimal
-    DFA has more than DFA_MONITOR_CAP states unless forced.  A
-    single-verdict monitor comes out as determinize_monitor's automata
-    route gives it.
+    Raises ConflictingMonitorError (with is_conflicting's witness) when
+    the two verdicts can collide, and CapExceeded when the minimal DFA
+    has more than DFA_MONITOR_CAP states unless forced.  Every position
+    a trace reaches is worked out before any subset, so a compile error
+    comes before a conflict.  A single-verdict monitor comes out as
+    determinize_monitor's automata route gives it.
     """
     positions = _Positions(well_form(m, alphabet), alphabet)
-    # With one verdict or none no trace can meet both, so the walk is
-    # skipped; the compile errors it could reach, the NFA reaches too.
-    if YES in positions.verdicts and NO in positions.verdicts:
-        witness = _conflict(positions)
-        if witness is not None:
+    table = positions.nfa((YES, NO), weak=False)
+    # With one verdict or none no subset holds both, and no pair is walked.
+    both = YES in positions.verdicts and NO in positions.verdicts
+
+    def fail_fast() -> None:
+        # Subsets can grow exponentially before a conflict the pairs meet.
+        if (witness := _conflict(positions)) is not None:
             raise ConflictingMonitorError(witness)
-    return _determinized(positions.nfa((YES, NO)), force, (YES, NO))
+
+    try:
+        return _determinized(table, force, (YES, NO), fail_fast if both else None)
+    except _Clash:
+        pass
+    raise ConflictingMonitorError(_conflict(positions))

@@ -27,7 +27,7 @@ from detmon.automata import (
 from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
 from detmon.semantics import CapExceeded, is_deterministic, verdicts_on
 from detmon.syntax import parse_monitor, print_term
-from detmon.terms import NO, TermError, Verdict, YES, size
+from detmon.terms import NO, Prefix, TermError, Verdict, YES, size, subterms
 
 from gen import all_words, random_monitor
 
@@ -411,6 +411,14 @@ def test_dfa_to_monitor_is_deterministic_and_bounded(seed):
     assert size(m) <= 2 * n * len(dfa.alphabet) ** n
     back = monitor_to_nfa(m, YES, AB)
     assert language_equiv(back, dfa)
+
+
+def test_an_unfolding_shares_one_goal_prefix_per_symbol():
+    dfa = minimize_dfa(subset_construction(monitor_to_nfa(mn_monitor(4), YES, ALPHABET_01E)))
+    m = dfa_to_monitor(dfa, force=True)
+    goals = [t for t in subterms(m) if isinstance(t, Prefix) and isinstance(t.body, Verdict)]
+    assert len(goals) > 100
+    assert len({id(t) for t in goals}) == len({t for t in goals}) == 1  # only e.yes
 
 
 def _renamed(d: Dfa, rng: random.Random) -> Dfa:

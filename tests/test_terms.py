@@ -202,6 +202,16 @@ class TestWellForm:
         w = well_form(m, AB)
         assert well_form(w, AB) == w
 
+    def test_nothing_to_collapse_gives_the_term_itself(self):
+        # A recursion right inside a choice keeps its binder over a verdict.
+        m = parse_monitor("(rec x. yes) + a.rec y. (a.y + b.no)", AB)
+        assert well_form(m, AB) is m
+        for seed in range(300):
+            w = well_form(random_monitor(random.Random(seed), 12), AB)
+            assert well_form(w, AB) is w
+        collapsed = parse_monitor("(rec x. yes) + a.rec y. no", AB)
+        assert print_term(well_form(collapsed, AB)) == "(rec x. yes) + a.no"
+
 
 class TestRenameApart:
     def test_distinct_binders_give_the_term_itself(self):
@@ -222,6 +232,9 @@ class TestVerdictSums:
     def test_no_verdict_summand_is_identity(self):
         m = parse_monitor("a.yes + b.no", AB)
         assert eliminate_verdict_sums(m, AB) == m
+        assert eliminate_verdict_sums(m, AB) is m
+        deep = parse_monitor("rec x. (a.(b.yes + a.x) + b.(rec y. (a.y + b.no)))", AB)
+        assert eliminate_verdict_sums(deep, AB) is deep
 
     def test_nested(self):
         m = parse_monitor("a.(b.yes + end)", AB)

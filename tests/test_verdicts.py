@@ -27,6 +27,7 @@ from detmon.terms import (
     eliminate_verdict_sums,
     fold,
     mk_sum,
+    prefix_chain,
     size,
     subterms,
     verdicts_in,
@@ -392,3 +393,136 @@ def test_two_verdict_compiles_the_monitor_once(monkeypatch):
     monkeypatch.undo()
     for m, d in outputs:
         assert verdict_equiv(m, d, AB), print_term(m)
+
+
+# ---------------------------------------------------------------------------
+# The labelled subset construction as the conflict check
+# ---------------------------------------------------------------------------
+
+
+def generated_two_verdict(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        make = random_two_verdict if i % 3 else random_split_two_verdict
+        m = make(rng, rng.randint(5, 18))
+        yield scramble(rng, m) if i % 2 else m
+
+
+def test_two_verdict_names_the_witness_of_is_conflicting():
+    kinds = {"ok": 0, "conflict": 0, "error": 0}
+    for m in generated_two_verdict(2020, 1500):
+        got = outcome(determinize_two_verdict, m, AB, True)
+        formed = outcome(well_form, m, AB)
+        if isinstance(formed, tuple):
+            assert got == formed, print_term(m)
+            kinds["error"] += 1
+            continue
+        c = is_conflicting(formed, AB)
+        if c:
+            assert got == (ConflictingMonitorError, str(ConflictingMonitorError(c.witness)),
+                           c.witness), print_term(m)
+            kinds["conflict"] += 1
+        else:
+            assert not isinstance(got, tuple), print_term(m)
+            kinds["ok"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_a_conflict_free_monitor_runs_no_pair_walk(monkeypatch):
+    """Within the fail-fast bound, the subsets alone show that no trace
+    meets both verdicts."""
+    free = [(M4_OR_E_NO, ALPHABET_01E), (parse_monitor("b.(a.no + no) + a.yes", AB), AB)]
+    for m in generated_two_verdict(2021, 600):
+        formed = outcome(well_form, m, AB)
+        if not isinstance(formed, tuple) and not is_conflicting(formed, AB):
+            free.append((formed, AB))
+    assert len(free) > 200
+
+    def no_walk(positions):
+        raise AssertionError("the conflict walk ran")
+
+    monkeypatch.setattr(verdicts, "_conflict", no_walk)
+    for m, alphabet in free:
+        assert not isinstance(outcome(determinize_two_verdict, m, alphabet, True), tuple)
+    assert outcome(determinize_two_verdict, M4_OR_E_NO, ALPHABET_01E)[0] is CapExceeded
+
+
+def test_the_pair_walk_bounds_a_deep_conflict(monkeypatch):
+    """A conflict deeper than M_14's 2^14 subsets: the subset walk stops
+    once it has found more subsets than its table has pairs of states,
+    and the quadratic pair walk names the conflict."""
+    branch = prefix_chain(["1"] * 32, parse_monitor("0.yes + 0.no", ALPHABET_01E))
+    m = mk_sum([mn_monitor(14), branch])
+    compiled = automata._Positions(well_form(m, ALPHABET_01E), ALPHABET_01E)
+    states = len(compiled.nfa((YES, NO), weak=False).acc)
+    walk, found = verdicts._conflict, []
+
+    def counted(positions):
+        frame = sys._getframe(1)
+        while frame.f_code is not automata._determinize.__code__:
+            frame = frame.f_back
+        found.append(len(frame.f_locals["subsets"]))
+        return walk(positions)
+
+    monkeypatch.setattr(verdicts, "_conflict", counted)
+    with pytest.raises(ConflictingMonitorError) as exc:
+        determinize_two_verdict(m, ALPHABET_01E, force=True)
+    assert exc.value.witness == ("1",) * 32 + ("0",)
+    assert len(found) == 1
+    # One subset's successors past the bound, at most.
+    assert states**2 < found[0] <= states**2 + len(ALPHABET_01E), (states, found)
+
+
+def test_the_target_table_tail_equals_the_weak_nfa_tail():
+    """The subsets of the action targets and those of the weak NFA, whose
+    states include closure members, give one minimal DFA and so one
+    monitor, and clash on the same monitors."""
+
+    def tail(table):
+        try:
+            return automata._determinized(table, True, (YES, NO))
+        except automata._Clash:
+            return "clash"
+        except (TermError, RuntimeError) as e:
+            return type(e), str(e)
+
+    rng = random.Random(2022)
+    ms = list(generated_two_verdict(2022, 300))
+    for i in range(300):
+        verdict = (YES, NO)[i % 2]
+        verdicts = (verdict, END) if i % 3 else (verdict,)
+        ms.append(random_monitor(rng, rng.randint(1, 16), AB, verdicts))
+    clashes = 0
+    for m in ms:
+        formed = outcome(well_form, m, AB)
+        if isinstance(formed, tuple):
+            continue
+        p = automata._Positions(formed, AB)
+        targets, weak = p.nfa((YES, NO), weak=False), p.nfa((YES, NO))
+        assert len(targets.acc) <= len(weak.acc), print_term(m)
+        got = tail(targets)
+        assert got == tail(weak), print_term(m)
+        clashes += got == "clash"
+    assert clashes > 50
+
+
+def test_a_compile_error_comes_before_a_conflict():
+    """The monitor's reachable positions are all worked out before any
+    subset, as verdict_equiv does, so a closure over the cap is reported
+    even where a shorter trace conflicts."""
+    nested = " + ".join(f"rec x{i}. a.yes" for i in range(10_001))
+    m = parse_monitor(f"a.no + a.yes + b.a.({nested})", AB)
+    assert is_conflicting(m, AB).witness == ("a",)
+    got = outcome(determinize_two_verdict, m, AB)
+    assert got[0] is CapExceeded and "tau closure exceeded" in got[1]
+
+
+def test_the_witness_is_a_shortest_conflict_not_the_shortlex_least():
+    # After a, the pair walk tries b from the inner choice paired with
+    # itself before it tries a from that choice paired with no.
+    m = parse_monitor("a.(yes + b.(rec r0. no)) + no", AB)
+    with pytest.raises(ConflictingMonitorError) as exc:
+        determinize_two_verdict(m, AB)
+    assert exc.value.witness == ("a", "b") == is_conflicting(m, AB).witness
+    assert {YES, NO} <= verdicts_on(m, ("a", "a"), AB)
+    assert not {YES, NO} <= verdicts_on(m, ("a",), AB)
