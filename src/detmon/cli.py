@@ -44,6 +44,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_determinize(args: argparse.Namespace) -> int:
+    if args.two_verdict and args.method == "equations":
+        raise ValueError("--two-verdict runs the automata route; --method equations does not apply")
     m, alphabet = parse_monitor_file(_read(args.monitor))
     if args.two_verdict:
         out = verdicts.determinize_two_verdict(m, alphabet, force=args.force)

@@ -40,6 +40,7 @@ from .terms import (
     TermError,
     Var,
     Verdict,
+    distinct_subterms,
     dualize,
     dualize_monitor,
     fold,
@@ -48,7 +49,6 @@ from .terms import (
     is_shml,
     mk_and,
     subst_formula,
-    subterms,
     uniquify_formula,
 )
 
@@ -134,7 +134,7 @@ class EquationSystem:
             raise TermError("free variables shadow equation names")
         defined = set(names) | self.free
         for n, f in self.equations:
-            outside = {t.name for t in subterms(f) if isinstance(t, Var)} - defined
+            outside = {t.name for t in distinct_subterms(f) if isinstance(t, Var)} - defined
             loose = outside and free_vars(f) & outside
             if loose:
                 raise TermError(
@@ -222,9 +222,21 @@ def _top_ok(g: Formula) -> bool:
 
 def is_standard_form(f: Formula) -> bool:
     """Every unguarded variable occurrence — in the formula itself and in
-    each fixpoint body — sits at top level, as a direct conjunct."""
-    roots = [f] + [t.body for t in subterms(f) if isinstance(t, (Max, Min))]
-    return all(_top_ok(r) for r in roots)
+    each fixpoint body — sits at top level, as a direct conjunct.  The
+    bodies are judged in preorder: the first that fails decides."""
+
+    def fault(t: Formula, kids):  # the first body at or below t to fail: False or its error
+        try:
+            if isinstance(t, (Max, Min)) and not _top_ok(t.body):
+                return False
+        except TermError as e:
+            return e
+        return next((k for k in kids if k is not None), None)
+
+    first = _top_ok(f) and fold(f, fault)
+    if isinstance(first, TermError):
+        raise first
+    return first is None
 
 
 def _conjoin(psi: Formula, tops: tuple[str, ...]) -> Formula:
@@ -558,7 +570,7 @@ def system_to_formula(sys: EquationSystem) -> Formula:
     minimal automaton of its violations, unfolded into a rejection
     monitor, read back.  TermError as for system_to_dfa."""
     actions = frozenset(
-        t.action for _, f in sys.equations for t in subterms(f) if isinstance(t, Box)
+        t.action for _, f in sys.equations for t in distinct_subterms(f) if isinstance(t, Box)
     )
     m = dfa_to_monitor(minimize_dfa(system_to_dfa(sys, actions)), force=True)
     return TT() if m == Verdict(END) else monitor_to_formula(dualize_monitor(m))
@@ -601,7 +613,7 @@ def is_deterministic_form(f: Formula) -> bool:
                 return False
         return True
 
-    for t in subterms(f):
+    for t in distinct_subterms(f):
         if isinstance(t, And) and not members_ok(t.conjuncts, Box):
             return False
         if isinstance(t, Or) and not members_ok(t.disjuncts, Diamond):

@@ -27,6 +27,8 @@ from .terms import (
     TAU,
     YES,
     FreeVariableError,
+    Max,
+    Min,
     Monitor,
     Nil,
     Prefix,
@@ -37,12 +39,10 @@ from .terms import (
     TermError,
     Var,
     Verdict,
-    binder_names,
     distinct_subterms,
     free_vars,
     rename_apart,
     subst,
-    subterms,
 )
 
 SYSTEMS = ("O", "M", "N")
@@ -100,7 +100,7 @@ def _names_apart(m: Term, alphabet: frozenset[str]) -> Term:
     stuck under any name, so the result flags the same verdicts on every
     trace."""
     m = rename_apart(m, alphabet)
-    bound = set(binder_names(m))
+    bound = {t.var for t in distinct_subterms(m) if isinstance(t, (Rec, Max, Min))}
     for x in sorted(free_vars(m) & bound):
         fresh = x + "'"
         while fresh in bound:
@@ -320,15 +320,12 @@ def verdicts_on(
 def is_deterministic(m: Monitor) -> bool:
     """Syntactic determinism: every choice is between action prefixes
     with pairwise distinct guards (judged on the monitor as written)."""
-    for t in subterms(m):
-        if isinstance(t, Sum):
-            guards: list[str] = []
-            for s in t.summands:
-                if not isinstance(s, Prefix):
-                    return False
-                guards.append(s.action)
-            if len(set(guards)) != len(guards):
-                return False
+    for t in distinct_subterms(m):
+        if isinstance(t, Sum) and not (
+            all(isinstance(s, Prefix) for s in t.summands)
+            and len({s.action for s in t.summands}) == len(t.summands)
+        ):
+            return False
     return True
 
 

@@ -10,13 +10,16 @@ fixpoints, the co-safety fragment the duals.
 All nodes are immutable and compare structurally, so terms can be used
 as set members and dict keys throughout the package.  Each node computes
 its hash once, at construction, from its children's cached hashes, and
-every walk over a term goes through `fold` on an explicit stack, so no
-operation here is limited by the depth of its term.
+every walk over a term runs on an explicit stack, so no operation here
+is limited by the depth of its term.  Walks visit each distinct node
+object once, except those whose result depends on each occurrence:
+`subterms`, `binder_names` and the renaming of binders.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from operator import is_, is_not
 from typing import Callable, Iterable, Iterator, Union
 
@@ -29,8 +32,8 @@ VERDICTS = (YES, NO, END)
 # The silent action.  Never a member of a declared alphabet.
 TAU = "tau"
 
-# Reserved marker action used by the two-verdict determinization pipeline
-# (a rejection verdict recast as an observable action).
+# Reserved marker action of `nu`/`nu_inverse` and the parser's
+# `allow_marker` (a rejection verdict recast as an observable action).
 NO_MARKER = "[no]"
 
 _KEYWORDS = frozenset(
@@ -526,28 +529,30 @@ def free_vars(term: Term) -> frozenset[str]:
     return fold(term, _free_vars)
 
 
-def _scan(term: Term) -> tuple[list[str], set[str], set[str]]:
-    """A term's binder names in preorder (with repeats), its actions and
-    its free variables, from one walk of its tree."""
-    binders: list[str] = []
-    actions, free, scope = set(), set(), Counter()
-    stack: list = [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is str:  # the walk leaves a binder of this name
-            scope[t] -= 1
-            continue
-        if isinstance(t, _Binder):
-            binders.append(t.var)
-            scope[t.var] += 1
-            stack.append(t.var)
-        elif isinstance(t, Var):
-            if not scope[t.name]:
-                free.add(t.name)
-        elif isinstance(t, _Guarded):
-            actions.add(t.action)
-        stack.extend(reversed(t.children()))
-    return binders, actions, free
+def _scope(t: Term, kids, names: set[str]) -> tuple[tuple[str, ...], int]:
+    """A node's free variables and the number of binders in its tree,
+    from its children's; a binder's name goes into `names`.  The names
+    are a tuple without repeats, which the garbage collector, unlike a
+    set, stops tracking."""
+    if not kids:
+        return ((t.name,), 0) if isinstance(t, Var) else ((), 0)
+    if len(kids) == 1:
+        if not isinstance(t, _Binder):
+            return kids[0]
+        names.add(t.var)
+        free, count = kids[0]
+        return (tuple(x for x in free if x != t.var) if t.var in free else free), count + 1
+    frees = [f for f, _ in kids if f]
+    free = frees[0] if len(frees) == 1 else tuple(_NO_VARS.union(*frees))
+    return free, sum(c for _, c in kids)
+
+
+def _bindings(term: Term) -> tuple[frozenset[str], set[str], bool]:
+    """A term's free variables, its binder names, and whether a name is
+    bound at two places of its tree."""
+    names: set[str] = set()
+    free, count = fold(term, partial(_scope, names=names))
+    return frozenset(free), names, count != len(names)
 
 
 def binder_names(term: Term) -> list[str]:
@@ -556,7 +561,7 @@ def binder_names(term: Term) -> list[str]:
 
 
 def actions_in(term: Term) -> frozenset[str]:
-    return frozenset(t.action for t in subterms(term) if isinstance(t, _Guarded))
+    return frozenset(t.action for t in distinct_subterms(term) if isinstance(t, _Guarded))
 
 
 def verdicts_in(term: Term) -> frozenset[str]:
@@ -565,12 +570,12 @@ def verdicts_in(term: Term) -> frozenset[str]:
 
 def is_shml(f: Formula) -> bool:
     """Safety fragment: no diamonds, disjunctions or least fixpoints."""
-    return not any(isinstance(t, (Diamond, Or, Min)) for t in subterms(f))
+    return not any(isinstance(t, (Diamond, Or, Min)) for t in distinct_subterms(f))
 
 
 def is_chml(f: Formula) -> bool:
     """Co-safety fragment: no boxes, conjunctions or greatest fixpoints."""
-    return not any(isinstance(t, (Box, And, Max)) for t in subterms(f))
+    return not any(isinstance(t, (Box, And, Max)) for t in distinct_subterms(f))
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +662,12 @@ def rename_apart(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     name1, ..., namek in preorder, skipping every name in use, the
     alphabet and the keywords.  Names bound once stay, so a term whose
     binder names are all distinct is returned as it is."""
-    bases = binder_names(m)
-    counts = Counter(bases)
-    if len(counts) == len(bases):
+    _, names, twice = _bindings(m)
+    if not twice:
         return m
-    taken = (
-        set(bases)
-        | {v.name for v in subterms(m) if isinstance(v, Var)}
-        | set(alphabet)
-        | set(_KEYWORDS)
-    )
+    counts = Counter(binder_names(m))  # per occurrence, like the renaming
+    taken = {v.name for v in distinct_subterms(m) if isinstance(v, Var)}
+    taken |= names | set(alphabet) | _KEYWORDS
 
     def fresh(t: Rec) -> str:
         if counts[t.var] == 1:
@@ -678,21 +679,6 @@ def rename_apart(m: Monitor, alphabet: frozenset[str]) -> Monitor:
         return f"{t.var}{i}"
 
     return _rename_binders(m, fresh)
-
-
-def _collapse(t: Monitor, kids) -> Monitor:
-    if isinstance(t, Rec):
-        return kids[0] if isinstance(kids[0], Verdict) else t.rebuild(kids)
-    if isinstance(t, Sum):
-        # A recursion right inside a choice keeps its binder over a verdict;
-        # no summand becomes a choice.
-        return t.rebuild([
-            s.rebuild((k,)) if isinstance(s, Rec) and isinstance(k, Verdict) else k
-            for s, k in zip(t.summands, kids)
-        ])
-    if isinstance(t, (Prefix, Verdict, Var)):
-        return t.rebuild(kids)
-    raise TermError(f"not a monitor term: {t!r}")
 
 
 def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
@@ -710,32 +696,59 @@ def well_form(m: Monitor, alphabet: frozenset[str]) -> Monitor:
     """
     if not alphabet:
         raise TermError("the alphabet must be non-empty")
-    binders, actions, free = _scan(m)
+    actions: set[str] = set()
+    names: set[str] = set()
+    odd: list[Term] = []  # the nodes that are not monitor terms, in fold order
+    # Each node's _scope, by id: apart from the fold's results, since a
+    # (term, scope) pair per node is one more object the garbage collector traces.
+    scopes: dict[int, tuple[tuple[str, ...], int]] = {}
+
+    def step(t: Term, kids) -> Term:
+        if type(t) is Prefix:  # the common case, in short
+            actions.add(t.action)
+            scopes[id(t)] = scopes[id(t.body)]
+            return t.rebuild(kids)
+        if isinstance(t, _Guarded):
+            actions.add(t.action)
+        if not isinstance(t, (Prefix, Rec, Sum, Verdict, Var)):
+            odd.append(t)
+        scopes[id(t)] = _scope(t, [scopes[id(k)] for k in t.children()], names)
+        if isinstance(t, Rec) and isinstance(kids[0], Verdict):
+            return kids[0]
+        if isinstance(t, Sum):
+            # A recursion right in a choice keeps its binder: no summand becomes a choice.
+            kids = [
+                s.rebuild((k,)) if isinstance(s, Rec) and isinstance(k, Verdict) else k
+                for s, k in zip(t.summands, kids)
+            ]
+        return t.rebuild(kids)
+
+    root, m = m, fold(m, step)
+    free, count = scopes[id(root)]
     bad = actions - alphabet
     if bad:
         raise TermError(f"actions not in the declared alphabet: {sorted(bad)}")
-    clash = alphabet.intersection(binders)
+    clash = alphabet.intersection(names)
     if clash:
         raise TermError(f"binder names clash with the alphabet: {sorted(clash)}")
-
-    m = fold(m, _collapse)
-    if len(set(binders)) != len(binders):
-        m = rename_apart(m, alphabet)
-
+    if odd:
+        raise TermError(f"not a monitor term: {odd[0]!r}")
     # Neither the collapse nor the renaming frees or binds a variable.
     if free:
         raise FreeVariableError(f"free recursion variables: {sorted(free)}")
-    return m
+    # More binder occurrences than names: a name is bound at two places.
+    return rename_apart(m, alphabet) if count != len(names) else m
 
 
 def uniquify_formula(f: Formula, reserved: Iterable[str] = ()) -> Formula:
     """Rename fixpoint binders so all are distinct from each other, from
     every free variable, and from `reserved`; a formula that needs no
     renaming is returned as it is."""
-    bases, _, used = _scan(f)
-    if len(set(bases)) == len(bases) and used.isdisjoint(bases):
+    free, bases, twice = _bindings(f)
+    if not twice and free.isdisjoint(bases):
         return f
-    taken = set(reserved) | used | set(bases)
+    used = set(free)
+    taken = set(reserved) | used | bases
 
     def fresh(t: Formula) -> str:
         base = t.var

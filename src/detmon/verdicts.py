@@ -32,8 +32,8 @@ from .terms import (
     TermError,
     Verdict,
     actions_in,
+    distinct_subterms,
     fold,
-    subterms,
     well_form,
 )
 
@@ -77,7 +77,7 @@ def nu(m: Monitor, alphabet: frozenset[str]) -> Monitor:
         raise TermError(f"alphabet already contains the reserved action {NO_MARKER!r}")
     if NO_MARKER in actions_in(m):
         raise TermError(f"monitor already uses the reserved action {NO_MARKER!r}")
-    for t in subterms(m):
+    for t in distinct_subterms(m):
         if isinstance(t, Sum) and any(isinstance(s, Verdict) for s in t.summands):
             raise TermError("verdict summand: run eliminate_verdict_sums first")
 

@@ -8,35 +8,44 @@ import pytest
 
 from detmon import cli
 from detmon.equivalence import simple_traces
-from detmon.families import mn_monitor
+from detmon.families import ALPHABET_01E, mn_monitor
+from detmon.logic import is_standard_form
 from detmon.pipeline import determinize_monitor
-from detmon.semantics import binder_map, verdicts_on
+from detmon.semantics import binder_map, is_deterministic, verdicts_on
 from detmon.synthesis import VERDICT_ACTIONS, monitor_to_formula, msf, pi, pi_inverse
 from detmon.syntax import parse_formula, parse_monitor, print_term
 from detmon.terms import (
     NO,
     NO_MARKER,
     YES,
+    And,
     Box,
     Diamond,
     FF,
+    Max,
     Min,
     Nil,
+    Or,
     Prefix,
     Rec,
     Sum,
     TT,
     Var,
     Verdict,
+    actions_in,
     dualize,
     dualize_monitor,
     eliminate_verdict_sums,
     free_vars,
     height,
+    is_chml,
+    is_shml,
     prefix_chain,
+    rename_apart,
     size,
     subst,
     subterms,
+    uniquify_formula,
     verdicts_in,
     well_form,
 )
@@ -119,6 +128,18 @@ def test_metrics_and_queries(chain, nest, boxes):
     assert free_vars(nest.body) == frozenset({"x0"})
 
 
+def test_a_ladder_of_binders():
+    # rec x0.(a.rec x1.(a. ... + b.x1) + b.x0): N names, each bound once
+    # and used once, at every depth.
+    m, f = YES_, TT()
+    for i in reversed(range(N)):
+        m = Rec(f"x{i}", Sum((Prefix("a", m), Prefix("b", Var(f"x{i}")))))
+        f = Max(f"X{i}", And((Box("a", f), Box("b", Var(f"X{i}")))))
+    assert well_form(m, AB) is m
+    assert free_vars(f) == frozenset()
+    assert uniquify_formula(f) is f
+
+
 def test_rewrites(chain, nest, boxes):
     assert subst(nest.body, "x0", NO_) == Prefix("a", nest_of(Prefix("b", NO_), YES_, first=1))
     assert subst(nest, "x0", NO_) is nest  # bound, so nothing to replace
@@ -172,9 +193,21 @@ def test_shared_subterms_are_folded_once():
 
 def test_queries_visit_shared_subterms_once():
     m = mn_monitor(40)
+    # Its formula and a deterministic choice tree, shared the same way.
+    tail, det = Diamond("e", TT()), Prefix("e", YES_)
+    for _ in range(39):
+        tail = Or((Diamond("0", tail), Diamond("1", tail)))
+        det = Sum((Prefix("0", det), Prefix("1", det)))
+    f = Min("X", Or((Diamond("0", Var("X")), Diamond("1", Var("X")), Diamond("1", tail))))
     start = time.perf_counter()
     assert verdicts_in(m) == {YES}
     assert binder_map(m) == {"x": m}
+    assert well_form(m, ALPHABET_01E) is m
+    assert actions_in(m) == ALPHABET_01E
+    assert rename_apart(m, ALPHABET_01E) is m
+    assert nu(m, ALPHABET_01E) is m
+    assert is_chml(f) and not is_shml(f) and is_standard_form(f)
+    assert is_deterministic(det) and not is_deterministic(m)
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,6 +1,7 @@
 """The end-to-end determinization routes, the bench harness, and the CLI."""
 
 import random
+import signal
 import sys
 import time
 from pathlib import Path
@@ -18,7 +19,14 @@ from detmon.automata import (
 from detmon.equivalence import verdict_equiv
 from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
 from detmon.logic import determinize_system, formula_to_system, system_to_dfa
-from detmon.pipeline import BENCH_COLUMNS, bench, bench_csv, determinize_monitor
+from detmon.pipeline import (
+    BENCH_COLUMNS,
+    _StageTimeout,
+    _with_timeout,
+    bench,
+    bench_csv,
+    determinize_monitor,
+)
 from detmon.semantics import CapExceeded, is_deterministic
 from detmon.synthesis import monitor_to_formula
 from detmon.syntax import format_term_file, parse_monitor, parse_monitor_file, print_term
@@ -479,6 +487,27 @@ def test_cli_bench_records_caps_per_row(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["9", "10"]
     for line in lines[1:]:
         assert line.split(",")[-1] in ("cap", "timeout")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_a_timeout_raises_only_inside_detmon():
+    # The first alarms land in this module's loop, which must run to its
+    # end; the limit then ends the detmon work that follows.
+    finished = []
+
+    def stage():
+        start = time.perf_counter()
+        while time.perf_counter() - start < 0.3:
+            pass
+        finished.append(True)
+        while time.perf_counter() - start < 10:
+            mn_monitor(50)
+
+    start = time.perf_counter()
+    with pytest.raises(_StageTimeout):
+        _with_timeout(0.05, stage)
+    assert finished
+    assert time.perf_counter() - start < 5
 
 
 def test_cli_rejects_an_unknown_automaton_type(tmp_path, capsys):

@@ -258,6 +258,10 @@ def test_cli_two_verdict_exit_codes(tmp_path, capsys):
     assert cli.main(["determinize", str(bad), "--two-verdict"]) == 1
     assert "flags both yes and no on the trace b.a" in capsys.readouterr().err
 
+    argv = ["determinize", str(big), "--two-verdict", "--method", "equations"]
+    assert cli.main(argv) == 2
+    assert "--method equations does not apply" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # The marker route, as an oracle
