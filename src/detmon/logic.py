@@ -7,12 +7,12 @@ system can be determinized subset-style (merging the targets of equal
 actions).  A system in deterministic form is a DFA of the violating
 traces, its equations the states and its ``ff`` equations accepting; that
 automaton, minimized, is unfolded into a monitor and read back as a
-single formula.  The equations route of ``pipeline.determinize_monitor``
-reads the flattened equations, before any system is named, as an NFA of
-the same traces and leaves the merge to the subset construction.
-Greatest fixpoints are
-solved for each equation in turn, which by Bekic's principle agrees with
-solving them simultaneously; both solvers are provided.
+single formula.  Flattened and parsed equations share one row form: the
+equations route of ``pipeline.determinize_monitor`` flattens a monitor
+straight into rows, with no formula built, and reads them as an NFA of the
+same traces, leaving the merge to the subset construction.  Greatest
+fixpoints are solved for each equation in turn, which by Bekic's principle
+agrees with solving them simultaneously; both solvers are provided.
 """
 
 from __future__ import annotations
@@ -34,9 +34,14 @@ from .terms import (
     FragmentError,
     Max,
     Min,
+    Monitor,
     Or,
+    Prefix,
+    Rec,
     SKIP,
+    Sum,
     TT,
+    Term,
     TermError,
     Var,
     Verdict,
@@ -223,20 +228,21 @@ def _top_ok(g: Formula) -> bool:
 def is_standard_form(f: Formula) -> bool:
     """Every unguarded variable occurrence — in the formula itself and in
     each fixpoint body — sits at top level, as a direct conjunct.  The
-    bodies are judged in preorder: the first that fails decides."""
-
-    def fault(t: Formula, kids):  # the first body at or below t to fail: False or its error
-        try:
-            if isinstance(t, (Max, Min)) and not _top_ok(t.body):
-                return False
-        except TermError as e:
-            return e
-        return next((k for k in kids if k is not None), None)
-
-    first = _top_ok(f) and fold(f, fault)
-    if isinstance(first, TermError):
-        raise first
-    return first is None
+    bodies are judged in preorder, each node object at its first
+    occurrence: the first that fails, or raises, decides."""
+    if not _top_ok(f):
+        return False
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if isinstance(t, (Max, Min)) and not _top_ok(t.body):
+            return False
+        stack.extend(reversed(t.children()))
+    return True
 
 
 def _conjoin(psi: Formula, tops: tuple[str, ...]) -> Formula:
@@ -297,46 +303,38 @@ def to_standard_form(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardRhs:
-    is_ff: bool
-    boxes: tuple[tuple[str, str], ...]  # (action, target equation)
-    frees: tuple[str, ...]
+# A flattened or parsed equation: None for ff, else its conjuncts in order,
+# each a box (action, target row) or the name of a variable standing unguarded.
+_Row = tuple[tuple[str, int] | str, ...] | None
 
 
-def _standard_rhs(
-    name: str, f: Formula, defined: set[str], free: frozenset[str]
-) -> StandardRhs:
-    if isinstance(f, FF):
-        return StandardRhs(True, (), ())
-    conjuncts = f.conjuncts if isinstance(f, And) else (f,)
-    boxes: list[tuple[str, str]] = []
-    frees: list[str] = []
-    for c in conjuncts:
-        if isinstance(c, TT):
+def _standard_system(sys: EquationSystem) -> list[_Row]:
+    """Each equation's right-hand side as a row, in order, its unguarded
+    variables the system's free ones; TermError when one is not standard."""
+    pos = {n: i for i, n in enumerate(sys.names())}
+    rows: list[_Row] = []
+    for name, f in sys.equations:
+        if isinstance(f, FF):
+            rows.append(None)
             continue
-        if isinstance(c, Box) and isinstance(c.body, Var) and c.body.name in defined:
-            boxes.append((c.action, c.body.name))
-        elif isinstance(c, Var) and c.name in free:
-            if c.name not in frees:
-                frees.append(c.name)
-        else:
-            raise TermError(
-                f"equation {name} is not in standard form: "
-                f"offending conjunct {print_term(c)}"
-            )
-    return StandardRhs(False, tuple(boxes), tuple(frees))
+        row: list = []
+        for c in f.conjuncts if isinstance(f, And) else (f,):
+            if isinstance(c, Box) and isinstance(c.body, Var) and c.body.name in pos:
+                row.append((c.action, pos[c.body.name]))
+            elif isinstance(c, Var) and c.name in sys.free:
+                row.append(c.name)
+            elif not isinstance(c, TT):
+                raise TermError(
+                    f"equation {name} is not in standard form: "
+                    f"offending conjunct {print_term(c)}"
+                )
+        rows.append(tuple(row))
+    return rows
 
 
-def _standard_system(sys: EquationSystem) -> list[StandardRhs]:
-    """Each equation's right-hand side in standard form, in order;
-    TermError when one is not standard."""
-    defined = set(sys.names())
-    return [_standard_rhs(n, f, defined, sys.free) for n, f in sys.equations]
-
-
-def _deterministic(rhs: StandardRhs) -> bool:
-    return len({a for a, _ in rhs.boxes}) == len(rhs.boxes)
+def _deterministic(row: _Row) -> bool:
+    actions = [c[0] for c in row or () if type(c) is tuple]
+    return len(set(actions)) == len(actions)
 
 
 def is_standard_form_system(sys: EquationSystem) -> bool:
@@ -355,11 +353,6 @@ def is_deterministic_form_system(sys: EquationSystem) -> bool:
         return False
 
 
-# A flattened equation: None for ff, else its conjuncts in order, each a
-# box (action, target row) or the name of a variable standing unguarded.
-_Row = tuple[tuple[str, int] | str, ...] | None
-
-
 def _join(rows: list[_Row]) -> _Row:
     """The conjunction of rows as mk_and builds it: ff absorbs, and a
     repeated conjunct keeps its first place."""
@@ -371,42 +364,65 @@ def _join(rows: list[_Row]) -> _Row:
     return tuple(dict.fromkeys(out))
 
 
-def _flatten(f: Formula) -> tuple[list[_Row], list[str | None], int]:
-    """A safety formula as standard-form equations, one row per distinct
-    node of its standard form, added bottom-up: the rows, each row's name
-    (a fixpoint's variable, None for an auxiliary row), and the principal
-    row.  A fixpoint's row is its body's, and each unguarded occurrence
-    of its variable in the rows so far takes that row's conjuncts."""
-    f = uniquify_formula(_standardize_shml(uniquify_formula(f)))  # hoisting can duplicate a binder
+def _flatten(t: Term, actions: tuple[str, ...] = ()) -> tuple[list[_Row], list[str | None], int]:
+    """Standard-form equations, one row per distinct node object, added
+    bottom-up: the rows, each row's name (a fixpoint's variable, None for
+    an auxiliary row), and the principal row.  `t` is a standard-form
+    safety formula with distinct binders, or a closed, well-formed,
+    single-verdict monitor as its synthesis reads it: a prefix a box, a
+    choice a conjunction, ``rec`` max, its verdict ff, and a verdict
+    summand a box to ff on each of `actions`.  A fixpoint's row is its
+    body's without its own variable (max X.(X & psi) is max X.psi), and
+    each row where that variable stands unguarded takes its conjuncts
+    instead.  A binder name is bound at one place, so nothing is captured
+    and a shared node needs one row."""
     rows: list[_Row] = []
     names: list[str | None] = []
+    users: dict[str, list[int]] = {}  # the rows that have mentioned a variable unguarded
 
     def add(row: _Row, name: str | None = None) -> int:
+        i = len(rows)
         rows.append(row)
         names.append(name)
-        return len(rows) - 1
+        for c in row or ():
+            if type(c) is str:
+                users.setdefault(c, []).append(i)
+        return i
 
-    def build(g: Formula, kids) -> int:
+    def build(g: Term, kids) -> int:
+        if isinstance(g, (Box, Prefix)):
+            return add(((g.action, kids[0]),))
+        if isinstance(g, (And, Sum)):
+            # ff would hold on the current trace, but a verdict in a choice
+            # flags only after one more action.
+            return add(_join([tuple((a, k) for a in actions) if type(s) is Verdict else rows[k]
+                              for s, k in zip(g.children(), kids)]))
+        if isinstance(g, Var):
+            return add((g.name,))
+        if isinstance(g, (Max, Rec)):
+            body = rows[kids[0]]
+            if body is not None and g.var in body:
+                body = tuple(c for c in body if c != g.var)
+            row_of_max = add(body, g.var)
+            for i in users.pop(g.var, ()):
+                row = rows[i]
+                if row is not None and g.var in row:  # not ff by now, nor listed twice
+                    rows[i] = _join([body if c == g.var else (c,) for c in row])
+                    for c in body or ():
+                        if type(c) is str:
+                            users[c].append(i)
+            return row_of_max
         if isinstance(g, TT):
             return add(())
         if isinstance(g, FF):
             return add(None)
-        if isinstance(g, Var):
-            return add((g.name,))
-        if isinstance(g, Box):
-            return add(((g.action, kids[0]),))
-        if isinstance(g, And):
-            return add(_join([rows[k] for k in kids]))
-        if isinstance(g, Max):
-            body = rows[kids[0]]
-            row_of_max = add(body, g.var)
-            for i, row in enumerate(rows):
-                if row and g.var in row:
-                    rows[i] = _join([body if c == g.var else (c,) for c in row])
-            return row_of_max
+        if isinstance(g, Verdict):
+            if g.value == END:
+                raise TermError("monitors containing 'end' cannot be read back as a formula")
+            return add(None)
         raise FragmentError(f"not a standard safety formula: {g!r}")
 
-    return rows, names, fold(f, build)
+    return rows, names, fold(t, build)
 
 
 def formula_to_system(f: Formula) -> EquationSystem:
@@ -419,7 +435,8 @@ def formula_to_system(f: Formula) -> EquationSystem:
     """
     if not is_shml(f):
         raise FragmentError("only safety formulas flatten to box-conjunction systems")
-    rows, names, principal = _flatten(f)
+    # Hoisting can duplicate a binder, so the names are made distinct again.
+    rows, names, principal = _flatten(uniquify_formula(_standardize_shml(uniquify_formula(f))))
     binders = {n: i for i, n in enumerate(names) if n is not None}
 
     def references(i: int) -> list[int]:
@@ -451,13 +468,14 @@ def formula_to_system(f: Formula) -> EquationSystem:
     return EquationSystem(final, renames[principal], frozenset(frees))
 
 
-def _flat_nfa(f: Formula, alphabet: frozenset[str]) -> _Ix:
-    """The unnamed NFA of the traces that violate a closed safety formula
-    over `alphabet`, read off its flattened equations as system_to_dfa
-    reads a system: each row a state, the principal one initial; a box an
-    edge, and an ff row accepting and looping on every symbol."""
-    rows, _, principal = _flatten(f)
+def _flat_nfa(m: Monitor, alphabet: frozenset[str]) -> _Ix:
+    """The unnamed NFA of the traces on which a closed, well-formed,
+    single-verdict monitor flags, read off its flattened equations as
+    system_to_dfa reads a system: each row a state, the principal one
+    initial; a box an edge, and an ff row accepting and looping on every
+    symbol."""
     symbols = tuple(sorted(alphabet))
+    rows, _, principal = _flatten(m, symbols)
     column = {y: k for k, y in enumerate(symbols)}
     succ: list[list[tuple[int, ...]]] = [[()] * len(rows) for _ in symbols]
     acc = bytearray(len(rows))
@@ -467,7 +485,7 @@ def _flat_nfa(f: Formula, alphabet: frozenset[str]) -> _Ix:
             for out in succ:
                 out[i] = (i,)
             continue
-        # The formula is closed (its monitor was well-formed): all boxes.
+        # The monitor is closed: all boxes.
         for action, target in row:
             succ[column[action]][i] += (target,)
     return _Ix(symbols, succ, principal, acc)
@@ -486,25 +504,20 @@ def determinize_system(sys: EquationSystem) -> EquationSystem:
     rewritten; fused equations are appended as they first arise.
     """
     names = sys.names()
-    pos = {n: i for i, n in enumerate(names)}
-    parsed = _standard_system(sys)
+    rows = _standard_system(sys)
 
     def info(Q: frozenset[int]) -> tuple[bool, list[tuple[str, frozenset[int]]], list[str]]:
-        if any(parsed[i].is_ff for i in Q):
+        if any(rows[i] is None for i in Q):
             return True, [], []
-        actions: list[str] = []
-        targets: dict[str, set[int]] = {}
-        frees: list[str] = []
+        targets: dict[str, set[int]] = {}  # in order of first use, as are the frees
+        frees: dict[str, None] = {}
         for i in sorted(Q):
-            for a, t in parsed[i].boxes:
-                if a not in targets:
-                    targets[a] = set()
-                    actions.append(a)
-                targets[a].add(pos[t])
-            for y in parsed[i].frees:
-                if y not in frees:
-                    frees.append(y)
-        return False, [(a, frozenset(targets[a])) for a in actions], frees
+            for c in rows[i]:
+                if type(c) is str:
+                    frees[c] = None
+                else:
+                    targets.setdefault(c[0], set()).add(c[1])
+        return False, [(a, frozenset(T)) for a, T in targets.items()], list(frees)
 
     taken = set(names) | set(sys.free)
     subset_name: dict[frozenset[int], str] = {}
@@ -554,13 +567,13 @@ def system_to_dfa(sys: EquationSystem, alphabet: frozenset[str]) -> Dfa:
     deterministic form, and on a box over an action outside `alphabet`."""
     if sys.free:
         raise TermError(f"the system is open: free variables {sorted(sys.free)}")
-    parsed = _standard_system(sys)
-    if not all(map(_deterministic, parsed)):
+    rows = _standard_system(sys)
+    if not all(map(_deterministic, rows)):
         raise TermError("the system is not in deterministic form")
     names = sys.names()
-    accepting = frozenset(n for n, rhs in zip(names, parsed) if rhs.is_ff)
+    accepting = frozenset(n for n, row in zip(names, rows) if row is None)
     transitions = frozenset(
-        (n, a, t) for n, rhs in zip(names, parsed) for a, t in rhs.boxes
+        (n, a, names[t]) for n, row in zip(names, rows) for a, t in row or ()
     ) | {(n, a, n) for n in accepting for a in alphabet}
     return Dfa(frozenset(names), alphabet, transitions, sys.principal, accepting)
 

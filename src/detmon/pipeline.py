@@ -5,11 +5,10 @@ Two independent routes arrive at a deterministic monitor:
 * ``automata`` — language automaton, subset construction, minimization,
   unfold back into a monitor.  Works for any single-verdict monitor and
   is the default.
-* ``equations`` — through the logic side: read the monitor (its dual,
-  for a ``yes`` monitor) back as a safety formula and flatten that into
-  standard-form equations, whose rows are the states of an NFA (an
-  ``ff`` row accepting and looping on every symbol).  Requires the
-  monitor to be end-free.
+* ``equations`` — through the logic side: flatten the monitor, read as
+  the safety formula violated exactly where it flags, into standard-form
+  equations, whose rows are the states of an NFA (an ``ff`` row accepting
+  and looping on every symbol).  Requires the monitor to be end-free.
 
 The automata route composes the public stages: DFA, minimization,
 unfolding, and a dual for ``no``; their outputs keep their kernels'
@@ -17,8 +16,8 @@ numbering and are never named on the way.  The equations route reads
 its flattened equations as an unnamed NFA table and runs the kernel tail
 of two-verdict determinization on it, whose unfolding writes the
 monitor's own verdict; no stage output or equation system is built, and
-the result is the one ``formula_to_system``, ``determinize_system`` and
-``system_to_dfa`` give.
+the result is the one ``monitor_to_formula``, ``formula_to_system``,
+``determinize_system`` and ``system_to_dfa`` give.
 The unfolding can blow up exponentially, so it refuses minimal DFAs of
 more than ``DFA_MONITOR_CAP`` states on either route, and ``force=True``
 lifts the cap.  ``bench`` runs either witness family across a range of
@@ -41,7 +40,6 @@ from .automata import (
 from .families import ALPHABET_01E, mn_monitor, un_monitor
 from .logic import _flat_nfa
 from .semantics import CapExceeded
-from .synthesis import monitor_to_formula
 from .terms import (
     END,
     NO,
@@ -50,7 +48,6 @@ from .terms import (
     TermError,
     Verdict,
     dualize_monitor,
-    eliminate_verdict_sums,
     size,
     verdicts_in,
     well_form,
@@ -82,14 +79,7 @@ def determinize_monitor(
     verdict = YES if YES in present else NO
 
     if method == "equations":
-        # Verdict summands must be expanded first: the formula reading
-        # maps them onto tt/ff, which already holds on the current trace,
-        # while a verdict inside a choice only flags after one more
-        # action.  The expansion makes the two readings line up.  A yes
-        # monitor is read as the safety formula of its dual.
-        e = eliminate_verdict_sums(m, alphabet)
-        f = monitor_to_formula(e if verdict == NO else dualize_monitor(e))
-        return _determinized(_flat_nfa(f, alphabet), force, (verdict,))
+        return _determinized(_flat_nfa(m, alphabet), force, (verdict,))
     # One expression, so that the subset DFA, which keeps its subsets
     # until its names are read, is dropped before the unfolding.
     det = dfa_to_monitor(

@@ -9,9 +9,9 @@ import pytest
 from detmon import cli
 from detmon.equivalence import simple_traces
 from detmon.families import ALPHABET_01E, mn_monitor
-from detmon.logic import is_standard_form
+from detmon.logic import formula_to_system, is_standard_form
 from detmon.pipeline import determinize_monitor
-from detmon.semantics import binder_map, is_deterministic, verdicts_on
+from detmon.semantics import CapExceeded, binder_map, is_deterministic, verdicts_on
 from detmon.synthesis import VERDICT_ACTIONS, monitor_to_formula, msf, pi, pi_inverse
 from detmon.syntax import parse_formula, parse_monitor, print_term
 from detmon.terms import (
@@ -217,6 +217,22 @@ def test_determinize_a_20000_deep_chain(method):
     start = time.perf_counter()
     assert determinize_monitor(chain, A, method=method, force=True) == chain
     assert time.perf_counter() - start < 4.0
+
+
+def test_flatten_a_20000_deep_ladder():
+    # rec x0.(a.rec x1.(a. ... + b.x1) + b.x0): each binder's variable
+    # stands in one row, so each fixpoint must touch only that row.
+    m, f = NO_, FF()
+    for i in reversed(range(20_000)):
+        m = Rec(f"x{i}", Sum((Prefix("a", m), Prefix("b", Var(f"x{i}")))))
+        f = Max(f"X{i}", And((Box("a", f), Box("b", Var(f"X{i}")))))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="20001 states exceeds the cap"):
+        determinize_monitor(m, AB, method="equations")
+    assert time.perf_counter() - start < 10.0
+    start = time.perf_counter()
+    assert len(formula_to_system(f).equations) == 40_001
+    assert time.perf_counter() - start < 10.0
 
 
 def test_determinize_two_verdict_on_a_20000_deep_chain():

@@ -18,7 +18,7 @@ from detmon.automata import (
 )
 from detmon.equivalence import verdict_equiv
 from detmon.families import ALPHABET_01E, mn_monitor, un_monitor
-from detmon.logic import determinize_system, formula_to_system, system_to_dfa
+from detmon.logic import _standardize_shml, determinize_system, formula_to_system, system_to_dfa
 from detmon.pipeline import (
     BENCH_COLUMNS,
     _StageTimeout,
@@ -39,6 +39,7 @@ from detmon.terms import (
     dualize_monitor,
     eliminate_verdict_sums,
     size,
+    uniquify_formula,
     verdicts_in,
     well_form,
 )
@@ -190,6 +191,13 @@ def test_routes_match_the_public_stage_oracles_on_generated_monitors(monkeypatch
 
     rng = random.Random(1818)
     cases = [(item.monitor, item.alphabet, False) for item in workloads.setup_routes(1)]
+    # Unguarded variables, a verdict under rec or in a choice, end, and sharing.
+    for text in ("rec x.(x + a.no)", "rec x.a.rec y.(x + b.y)", "rec x.a.rec y.(x + b.y + a.no)",
+                 "a.(rec x.no + b.no)", "rec x.(no + a.x)", "rec x.(a.end + b.no)"):
+        for verdict in (NO, YES):
+            cases.append((parse_monitor(text.replace(NO, verdict), AB), AB, False))
+    m3 = mn_monitor(3)
+    cases += [(m3, ALPHABET_01E, False), (dualize_monitor(m3), ALPHABET_01E, False)]
     for i in range(700):
         verdict = (YES, NO)[i % 2]
         m = random_monitor(rng, rng.randint(1, 14), AB, (verdict,) if i % 3 else (verdict, END))
@@ -208,10 +216,10 @@ def test_routes_match_the_public_stage_oracles_on_generated_monitors(monkeypatch
 
 def test_equations_route_runs_the_kernels_on_bare_tables(monkeypatch):
     """On the equations route no stage output is named, no equation
-    system is built, no monitor is compiled, and only a yes monitor is
-    dualized, once, to be read as a formula.  The automata route composes
-    the public stages: one compile, and one closing dual for a no
-    monitor."""
+    system or formula is built, no term is rewritten, and no monitor is
+    compiled or dualized: the monitor is flattened straight into rows.
+    The automata route composes the public stages: one compile, and one
+    closing dual for a no monitor."""
     def forbidden(name):
         def raiser(*args, **kwargs):
             raise AssertionError(f"{name} was called")
@@ -252,15 +260,15 @@ def test_equations_route_runs_the_kernels_on_bare_tables(monkeypatch):
         if method == "equations":
             monkeypatch.setattr(automata, "_materialize", forbidden("_materialize"))
             monkeypatch.setattr(logic.EquationSystem, "__init__", forbidden("EquationSystem"))
-            everywhere(determinize_system, forbidden("determinize_system"))
-            everywhere(system_to_dfa, forbidden("system_to_dfa"))
+            for stage in (determinize_system, system_to_dfa, eliminate_verdict_sums,
+                          monitor_to_formula, uniquify_formula, _standardize_shml):
+                everywhere(stage, forbidden(stage.__name__))
         for m, alphabet in monitors:
-            dual_of = YES if method == "equations" else NO
             compiles.clear()
             duals.clear()
             outputs.append((m, alphabet, method, determinize_monitor(m, alphabet, method, True)))
             assert len(compiles) == (method == "automata"), print_term(m)
-            assert len(duals) == (dual_of in verdicts_in(m)), print_term(m)
+            assert len(duals) == (method == "automata" and NO in verdicts_in(m)), print_term(m)
     monkeypatch.undo()
     for m, alphabet, method, d in outputs:
         assert d == public_stages(m, alphabet, method), print_term(m)
